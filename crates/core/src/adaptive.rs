@@ -192,11 +192,29 @@ const TAG_DENSE: u8 = 2;
 /// Per-generation cache of representation decisions and dense builds,
 /// keyed by pattern index into the generation's pattern set.
 ///
-/// Candidate generation joins every left parent of a run against the
-/// same suffix lists, so one [`DensePil::build`] per suffix is reused
-/// across the whole fan-out — the amortization that pays for the
-/// `O(span)` build. The cache must be [`ReprCache::begin`]-reset
-/// whenever the indices start referring to a different generation.
+/// How long a dense build lives depends on who joins against it:
+///
+/// - A whole level in one pass (serial `mpp`, DFS subtrees): every left
+///   parent `x·s` of a suffix `s` meets the same partner group, σ of
+///   them spread over the sorted level, so builds are kept until
+///   [`ReprCache::begin`] and reused up to σ-fold.
+/// - A pooled chunk ([`ReprCache::per_parent`]): a chunk is a run of
+///   consecutive left parents and almost never meets the same partner
+///   group twice, so every build is released by
+///   [`ReprCache::end_parent`] as soon as its left parent's group is
+///   joined. Measured on DNA L = 10k, gap [0,9], 2 threads: 41,447 →
+///   41,522 dense builds (+0.2%), with the chunk's dense working set
+///   down to one partner group.
+///
+/// A parent-scoped cache hands the buffers of released builds to a
+/// spare list that later builds write into
+/// ([`DensePil::build_reusing`]), so a worker stops allocating and
+/// faulting fresh arrays after its first few builds; the list never
+/// outgrows one partner group (≤ σ builds, two buffers each under
+/// SIMD). A level-scoped cache frees its builds instead: keeping a
+/// whole level's buffers would hold that much memory across levels.
+/// The cache must be [`ReprCache::begin`]-reset whenever the indices
+/// start referring to a different generation.
 pub struct ReprCache {
     policy: ReprPolicy,
     /// The resolved join kernel: under [`ResolvedKernel::Simd`] dense
@@ -209,6 +227,11 @@ pub struct ReprCache {
     tags: Vec<u8>,
     /// Built prefix-sum arrays for the dense-tagged indices.
     dense: HashMap<usize, DensePil>,
+    /// Buffers of released builds, reused by the next builds
+    /// (parent scope only).
+    spare: Vec<Vec<u64>>,
+    /// Release builds after every left parent instead of at `begin`.
+    per_parent: bool,
 }
 
 impl ReprCache {
@@ -234,7 +257,16 @@ impl ReprCache {
             gap,
             tags: Vec::new(),
             dense: HashMap::new(),
+            spare: Vec::new(),
+            per_parent: false,
         }
+    }
+
+    /// This cache, releasing its dense builds after every left parent
+    /// (see the type docs) — the pooled chunk's scope.
+    pub(crate) fn per_parent(mut self) -> ReprCache {
+        self.per_parent = true;
+        self
     }
 
     /// The policy this cache decides with.
@@ -245,9 +277,29 @@ impl ReprCache {
     /// Forget every decision and size for a generation of `patterns`
     /// lists. Keeps the tag allocation.
     pub fn begin(&mut self, patterns: usize) {
+        self.release_dense();
         self.tags.clear();
         self.tags.resize(patterns, TAG_UNDECIDED);
-        self.dense.clear();
+    }
+
+    /// Called once a left parent's partner group is joined: a
+    /// parent-scoped cache releases its builds (their lists revert to
+    /// undecided); a level-scoped one keeps them.
+    pub(crate) fn end_parent(&mut self) {
+        if self.per_parent {
+            self.release_dense();
+        }
+    }
+
+    /// Drop every dense build — into the spare list under parent scope
+    /// — and mark its list undecided again.
+    fn release_dense(&mut self) {
+        for (id, dense) in self.dense.drain() {
+            self.tags[id] = TAG_UNDECIDED;
+            if self.per_parent {
+                dense.recycle(&mut self.spare);
+            }
+        }
     }
 
     /// Decide (once) the representation for pattern `id`, whose PIL is
@@ -262,10 +314,11 @@ impl ReprCache {
             _ => {
                 let mut built = None;
                 if self.policy.wants_dense(entries) {
-                    built = match (self.kern, self.gap) {
-                        (ResolvedKernel::Simd, Some(gap)) => DensePil::build_windowed(entries, gap),
-                        _ => DensePil::build(entries),
+                    let windowed = match self.kern {
+                        ResolvedKernel::Simd => self.gap,
+                        ResolvedKernel::Scalar => None,
                     };
+                    built = DensePil::build_reusing(entries, windowed, &mut self.spare);
                     if built.is_none() {
                         DENSE_FALLBACKS.fetch_add(1, Ordering::Relaxed);
                     }
@@ -288,7 +341,7 @@ impl ReprCache {
     }
 
     /// The dense build for `id`, present iff [`ReprCache::decide`]
-    /// returned `true` for it this generation.
+    /// returned `true` for it and it has not been released since.
     pub fn get(&self, id: usize) -> Option<&DensePil> {
         self.dense.get(&id)
     }
@@ -451,6 +504,31 @@ mod tests {
         cache.begin(1);
         assert!(cache.get(0).is_none());
         assert_eq!(cache.policy().mode, PilRepr::Auto);
+    }
+
+    #[test]
+    fn parent_scope_releases_builds_and_reuses_their_buffers() {
+        let packed: Vec<(u32, u64)> = (1..=64).map(|x| (x, 1)).collect();
+        // Level scope: builds survive `end_parent` until `begin`.
+        let mut level = ReprCache::new(ReprPolicy::default());
+        level.begin(2);
+        assert!(level.decide(0, &packed));
+        level.end_parent();
+        assert!(level.get(0).is_some());
+        // Parent scope: released at `end_parent`, buffer reused by the
+        // next build, which matches a fresh one.
+        let mut parent = ReprCache::new(ReprPolicy::default()).per_parent();
+        parent.begin(2);
+        assert!(parent.decide(0, &packed));
+        let buffer = parent.get(0).unwrap().psum().as_ptr();
+        parent.end_parent();
+        assert!(parent.get(0).is_none(), "released");
+        assert!(parent.decide(1, &packed));
+        let rebuilt = parent.get(1).unwrap();
+        assert_eq!(rebuilt.psum().as_ptr(), buffer, "spare buffer reused");
+        assert_eq!(rebuilt.psum(), DensePil::build(&packed).unwrap().psum());
+        // A released list is decided afresh, and still dense.
+        assert!(parent.decide(0, &packed));
     }
 
     #[test]

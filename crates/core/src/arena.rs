@@ -5,10 +5,12 @@
 //! `HashMap`) made the seed scan and the join fan-out allocation-bound.
 //! This module replaces both with one structure per generation:
 //!
-//! - [`PilSet`] holds every pattern of a generation in two flat
-//!   arrays — concatenated pattern codes (stride = level) and one
-//!   contiguous entry arena with per-pattern ranges. Patterns are kept
-//!   in lexicographic code order.
+//! - [`PilSet`] holds every pattern of a generation in flat arrays —
+//!   concatenated pattern codes (stride = level) and entry arenas with
+//!   a per-pattern `(arena, range)` span. A serially built generation
+//!   has one arena; a pooled one keeps the arena each worker wrote, so
+//!   assembling it moves buffers instead of copying entries. Patterns
+//!   are kept in lexicographic code order.
 //! - [`build_seed`] seeds a level directly into a [`PilSet`] using the
 //!   packed keys of [`crate::packed::KeyCodec`]: for small alphabets a
 //!   dense `σ`-ary table indexed by key absorbs every scan event with
@@ -40,32 +42,81 @@ use std::collections::HashMap;
 /// the packed key.
 const DENSE_KEY_BITS_MAX: u32 = 20;
 
+/// Where one pattern's PIL lives: `len` entries from `start` in arena
+/// `arena`.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    start: usize,
+    len: u32,
+    arena: u32,
+}
+
 /// One generation of patterns with their PILs, in lexicographic code
 /// order, arena-backed.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// The entries live in one or more *arenas*: a set built in one pass
+/// has a single arena, while a set assembled by [`PilSet::gather`] /
+/// [`PilSet::concat`] keeps the arenas its parts were written into
+/// (one per pool worker in [`crate::parallel`]) and records a span per
+/// pattern — assembling a generation moves arenas and copies only
+/// codes and spans. Equality is logical: patterns, entries and the
+/// saturation flag, never the arena layout.
+#[derive(Clone, Debug)]
 pub(crate) struct PilSet {
     level: usize,
     /// Concatenated pattern codes; pattern `i` is
     /// `codes[i*level .. (i+1)*level]`.
     codes: Vec<u8>,
-    /// `entries[bounds[i]..bounds[i+1]]` is pattern `i`'s PIL.
-    bounds: Vec<usize>,
-    /// All `(first offset, count)` pairs of the generation.
-    entries: Vec<(u32, u64)>,
+    /// Pattern `i`'s PIL is `spans[i]` into `arenas`.
+    spans: Vec<Span>,
+    /// The `(first offset, count)` arenas; never empty. Pushes append to
+    /// the last one.
+    arenas: Vec<Vec<(u32, u64)>>,
     /// True when any count in this generation clamped at `u64::MAX`
     /// during seeding or joining — supports are then lower bounds.
     saturated: bool,
 }
 
+impl Default for PilSet {
+    fn default() -> PilSet {
+        PilSet::new(0)
+    }
+}
+
+impl PartialEq for PilSet {
+    fn eq(&self, other: &PilSet) -> bool {
+        self.level == other.level
+            && self.len() == other.len()
+            && self.saturated == other.saturated
+            && self.codes == other.codes
+            && (0..self.len()).all(|i| self.entries(i) == other.entries(i))
+    }
+}
+
+impl Eq for PilSet {}
+
 impl PilSet {
     pub(crate) fn new(level: usize) -> PilSet {
+        PilSet::with_arena(level, Vec::new())
+    }
+
+    /// An empty set writing into `arena`, whose allocation is reused —
+    /// the recycling path of the double-buffered pooled driver. Any
+    /// entries the arena still holds are discarded.
+    pub(crate) fn with_arena(level: usize, mut arena: Vec<(u32, u64)>) -> PilSet {
+        arena.clear();
         PilSet {
             level,
             codes: Vec::new(),
-            bounds: vec![0],
-            entries: Vec::new(),
+            spans: Vec::new(),
+            arenas: vec![arena],
             saturated: false,
         }
+    }
+
+    /// Consume the set, handing back its arenas for reuse.
+    pub(crate) fn into_arenas(self) -> Vec<Vec<(u32, u64)>> {
+        self.arenas
     }
 
     /// True when any count in this generation hit the `u64` ceiling.
@@ -81,16 +132,17 @@ impl PilSet {
         self.saturated = saturated;
     }
 
-    /// Total PIL entries across all patterns (the arena's payload size).
+    /// Total PIL entries across all patterns (the arenas' payload size).
     pub(crate) fn entry_count(&self) -> usize {
-        self.entries.len()
+        self.arenas.iter().map(Vec::len).sum()
     }
 
-    /// Approximate heap bytes held by the generation's buffers.
+    /// Approximate heap bytes held by the generation: codes, spans and
+    /// the live entries of every arena.
     pub(crate) fn arena_bytes(&self) -> usize {
         self.codes.len()
-            + self.entries.len() * std::mem::size_of::<(u32, u64)>()
-            + self.bounds.len() * std::mem::size_of::<usize>()
+            + self.entry_count() * std::mem::size_of::<(u32, u64)>()
+            + self.spans.len() * std::mem::size_of::<Span>()
     }
 
     pub(crate) fn level(&self) -> usize {
@@ -99,7 +151,7 @@ impl PilSet {
 
     /// Number of patterns stored.
     pub(crate) fn len(&self) -> usize {
-        self.bounds.len() - 1
+        self.spans.len()
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -112,8 +164,10 @@ impl PilSet {
     }
 
     /// Pattern `i`'s PIL entries.
+    #[inline]
     pub(crate) fn entries(&self, i: usize) -> &[(u32, u64)] {
-        &self.entries[self.bounds[i]..self.bounds[i + 1]]
+        let s = self.spans[i];
+        &self.arenas[s.arena as usize][s.start..s.start + s.len as usize]
     }
 
     /// `sup` of pattern `i` (Property 1: sum of counts).
@@ -128,13 +182,38 @@ impl PilSet {
         (0..self.len()).map(|i| self.support(i)).max().unwrap_or(0)
     }
 
+    /// The arena pushes append to, with its current length (the start
+    /// of the next pattern's span).
+    #[inline]
+    fn tail(&mut self) -> (usize, &mut Vec<(u32, u64)>) {
+        let arena = self
+            .arenas
+            .last_mut()
+            .expect("a PilSet always has an arena");
+        (arena.len(), arena)
+    }
+
+    /// Close the pattern whose entries were appended to the tail arena
+    /// from `start` on.
+    #[inline]
+    fn close_span(&mut self, start: usize) {
+        let arena = self.arenas.len() - 1;
+        let len = self.arenas[arena].len() - start;
+        self.spans.push(Span {
+            start,
+            len: u32::try_from(len).expect("a PIL holds at most one entry per u32 offset"),
+            arena: u32::try_from(arena).expect("arena count fits u32"),
+        });
+    }
+
     /// Append a pattern with pre-built entries. Patterns must arrive in
     /// strictly ascending code order; callers uphold this.
     pub(crate) fn push_pattern(&mut self, codes: &[u8], entries: &[(u32, u64)]) {
         debug_assert_eq!(codes.len(), self.level);
         self.codes.extend_from_slice(codes);
-        self.entries.extend_from_slice(entries);
-        self.bounds.push(self.entries.len());
+        let (start, arena) = self.tail();
+        arena.extend_from_slice(entries);
+        self.close_span(start);
     }
 
     /// Append the candidate `p1_codes · last`, computing its PIL by
@@ -151,14 +230,15 @@ impl PilSet {
         debug_assert_eq!(p1_codes.len() + 1, self.level);
         self.codes.extend_from_slice(p1_codes);
         self.codes.push(last);
-        self.saturated |= join_into(prefix, suffix, gap, &mut self.entries, counters);
-        self.bounds.push(self.entries.len());
+        let (start, arena) = self.tail();
+        self.saturated |= join_into(prefix, suffix, gap, arena, counters);
+        self.close_span(start);
     }
 
     /// [`PilSet::push_candidate`] through the dense prefix-sum kernel:
-    /// the suffix arrives as a pre-built [`DensePil`] (cached per
-    /// suffix by [`ReprCache`]), so the join is one O(1) probe per
-    /// prefix offset and can never saturate (see [`DensePil::build`]).
+    /// the suffix arrives as a pre-built [`DensePil`] (held per suffix
+    /// by [`ReprCache`]), so the join is one O(1) probe per prefix
+    /// offset and can never saturate (see [`DensePil::build`]).
     /// `kern` picks the scalar or AVX2 probe — same output either way.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn push_candidate_dense(
@@ -174,8 +254,9 @@ impl PilSet {
         debug_assert_eq!(p1_codes.len() + 1, self.level);
         self.codes.extend_from_slice(p1_codes);
         self.codes.push(last);
-        kernel::join_dense_kernel(kern, prefix, suffix, gap, &mut self.entries, counters);
-        self.bounds.push(self.entries.len());
+        let (start, arena) = self.tail();
+        kernel::join_dense_kernel(kern, prefix, suffix, gap, arena, counters);
+        self.close_span(start);
     }
 
     /// Append the candidate `p1_codes · last` with a PIL already
@@ -191,37 +272,81 @@ impl PilSet {
         debug_assert_eq!(p1_codes.len() + 1, self.level);
         self.codes.extend_from_slice(p1_codes);
         self.codes.push(last);
-        self.entries.extend_from_slice(entries);
+        let (start, arena) = self.tail();
+        arena.extend_from_slice(entries);
         self.saturated |= saturated;
-        self.bounds.push(self.entries.len());
+        self.close_span(start);
     }
 
-    /// Drop all patterns, keeping the allocations, and set a new level —
-    /// the join fan-out reuses one output set per engine this way.
+    /// Drop all patterns and set a new level, keeping the largest arena
+    /// allocation as the write arena — the serial engine reuses one
+    /// output set across levels this way.
     pub(crate) fn reset(&mut self, level: usize) {
+        let biggest = (0..self.arenas.len())
+            .max_by_key(|&a| self.arenas[a].capacity())
+            .expect("a PilSet always has an arena");
+        self.arenas.swap(0, biggest);
+        self.arenas.truncate(1);
+        self.arenas[0].clear();
         self.level = level;
         self.codes.clear();
-        self.entries.clear();
-        self.bounds.clear();
-        self.bounds.push(0);
+        self.spans.clear();
         self.saturated = false;
     }
 
-    /// Concatenate parts (in order) into one set. Parts must hold
-    /// disjoint ascending code ranges — true for chunked candidate
-    /// generation, where chunk `k` covers left-parent indices before
-    /// chunk `k+1`'s.
-    pub(crate) fn concat(level: usize, parts: impl IntoIterator<Item = PilSet>) -> PilSet {
-        let mut out = PilSet::new(level);
+    /// Assemble one set from `pieces` — `(part, pattern range)` pairs,
+    /// in output order — of `parts`. Every pattern of every part must
+    /// appear in exactly one piece, and the pieces must hold ascending,
+    /// disjoint code ranges. The parts' arenas move into the result
+    /// unchanged; only codes and spans are copied.
+    pub(crate) fn gather(
+        level: usize,
+        parts: Vec<PilSet>,
+        pieces: impl IntoIterator<Item = (usize, std::ops::Range<usize>)>,
+    ) -> PilSet {
+        let mut out = PilSet {
+            level,
+            codes: Vec::new(),
+            spans: Vec::new(),
+            arenas: Vec::new(),
+            saturated: false,
+        };
+        let mut heads = Vec::with_capacity(parts.len());
         for part in parts {
             debug_assert_eq!(part.level, level);
-            let base = out.entries.len();
-            out.codes.extend_from_slice(&part.codes);
-            out.entries.extend_from_slice(&part.entries);
-            out.bounds.extend(part.bounds[1..].iter().map(|b| base + b));
+            let base = out.arenas.len() as u32;
+            out.arenas.extend(part.arenas);
             out.saturated |= part.saturated;
+            heads.push((base, part.codes, part.spans));
+        }
+        for (p, range) in pieces {
+            let (base, codes, spans) = &heads[p];
+            out.codes
+                .extend_from_slice(&codes[range.start * level..range.end * level]);
+            out.spans.extend(spans[range].iter().map(|s| Span {
+                arena: s.arena + base,
+                ..*s
+            }));
+        }
+        debug_assert_eq!(
+            out.spans.len(),
+            heads.iter().map(|(_, _, s)| s.len()).sum::<usize>(),
+            "pieces must cover every part exactly"
+        );
+        if out.arenas.is_empty() {
+            out.arenas.push(Vec::new());
         }
         out
+    }
+
+    /// Concatenate whole parts (in order) into one set, moving their
+    /// arenas. Parts must hold disjoint ascending code ranges — true for
+    /// chunked candidate generation, where chunk `k` covers left-parent
+    /// indices before chunk `k+1`'s.
+    pub(crate) fn concat(level: usize, parts: impl IntoIterator<Item = PilSet>) -> PilSet {
+        let parts: Vec<PilSet> = parts.into_iter().collect();
+        let ranges: Vec<_> = parts.iter().map(|p| 0..p.len()).collect();
+        PilSet::gather(level, parts, ranges.into_iter().enumerate())
     }
 
     /// Convert to the public map form, omitting empty PILs (they only
@@ -458,9 +583,12 @@ pub(crate) fn prefix_runs(set: &PilSet, kept: &[usize]) -> Vec<(usize, usize)> {
 /// binary search over the prefix runs.
 ///
 /// `repr` decides per suffix list whether the join runs on the sparse
-/// merge or the dense prefix-sum probe; the dense build is cached in it
-/// and reused across every left parent sharing the suffix. The caller
-/// must have [`ReprCache::begin`]-reset it for `set`'s pattern indices.
+/// merge or the dense prefix-sum probe, and holds the dense builds for
+/// as long as its scope says: the whole level (reused by every left
+/// parent sharing the suffix, up to σ of them) or, for a pooled chunk,
+/// only the current left parent's partner group — see [`ReprCache`].
+/// The caller must have [`ReprCache::begin`]-reset it for `set`'s
+/// pattern indices.
 ///
 /// Each left parent's partner run is a *sibling group*: the sparse
 /// subset shares one batched walk of the left PIL
@@ -541,6 +669,7 @@ pub(crate) fn generate_candidates(
                     out.push_candidate_dense(p1, last, set.entries(i), dense, gap, kern, counters);
                 }
             }
+            repr.end_parent();
         }
     }
 }
@@ -748,6 +877,81 @@ mod tests {
         assert_eq!(PilSet::concat(4, [a, b]), whole);
     }
 
+    /// Generate `kept[lo..hi]`'s candidates into `out` — one pooled
+    /// chunk written into a worker's set.
+    fn chunk_into(set: &PilSet, g: GapRequirement, lo: usize, hi: usize, out: &mut PilSet) {
+        let kept: Vec<usize> = (0..set.len()).collect();
+        let runs = prefix_runs(set, &kept);
+        let mut repr = cache_for(set, PilRepr::Auto);
+        gen(set, &kept, &runs, g, lo, hi, out, &mut repr);
+    }
+
+    #[test]
+    fn segmented_set_equals_its_contiguous_form() {
+        let s = dna("ACGTTGCAACGTTACGGTCAAGTCCATGA");
+        let g = gap(0, 3);
+        let set = seed(&s, g, 3);
+        let n = set.len();
+        let mut whole = PilSet::new(4);
+        chunk_into(&set, g, 0, n, &mut whole);
+        // Three chunks on two workers, claimed out of order: worker 0
+        // writes chunks 0 and 2, worker 1 chunk 1.
+        let (a, b) = (n / 3, 2 * n / 3);
+        let mut w0 = PilSet::new(4);
+        let mut w1 = PilSet::new(4);
+        chunk_into(&set, g, b, n, &mut w0);
+        let split = w0.len();
+        chunk_into(&set, g, 0, a, &mut w0);
+        chunk_into(&set, g, a, b, &mut w1);
+        let (w0_len, w1_len) = (w0.len(), w1.len());
+        let pieces = [(0, split..w0_len), (1, 0..w1_len), (0, 0..split)];
+        let gathered = PilSet::gather(4, vec![w0, w1], pieces);
+        assert_eq!(gathered.arenas.len(), 2);
+        assert_eq!(whole.arenas.len(), 1);
+        assert_eq!(gathered, whole, "equality ignores the arena layout");
+        assert_eq!(gathered.entry_count(), whole.entry_count());
+        assert_eq!(gathered.arena_bytes(), whole.arena_bytes());
+        // ...but not the content: one count or the flag tells them apart.
+        let mut other = PilSet::new(4);
+        for i in 0..whole.len() {
+            let mut entries = whole.entries(i).to_vec();
+            if i == whole.len() / 2 {
+                entries[0].1 += 1;
+            }
+            other.push_pattern(whole.pattern_codes(i), &entries);
+        }
+        assert_ne!(other, whole);
+        let mut flagged = whole.clone();
+        flagged.set_saturated(true);
+        assert_ne!(flagged, whole);
+    }
+
+    #[test]
+    fn recycled_arenas_carry_no_stale_entries() {
+        // A large generation's arenas, recycled to hold a smaller one,
+        // keep their allocation but none of their old entries.
+        let s = dna(&"ACGTTGCAACGTTACGGTCA".repeat(6));
+        let g = gap(0, 3);
+        let big = seed(&s, g, 4);
+        let small_parent = seed(&s, g, 3);
+        let mut fresh = PilSet::new(4);
+        chunk_into(&small_parent, g, 0, 4, &mut fresh);
+        assert!(fresh.entry_count() < big.entry_count());
+        let old_len = big.entry_count();
+        let mut arenas = big.into_arenas();
+        let mut recycled = PilSet::with_arena(4, arenas.pop().unwrap());
+        assert!(recycled.arenas[0].capacity() >= old_len);
+        chunk_into(&small_parent, g, 0, 4, &mut recycled);
+        assert_eq!(recycled, fresh);
+        assert_eq!(recycled.entry_count(), fresh.entry_count());
+        assert_eq!(recycled.arena_bytes(), fresh.arena_bytes());
+        // `reset` recycles the same way.
+        recycled.reset(4);
+        assert_eq!(recycled.entry_count(), 0);
+        chunk_into(&small_parent, g, 0, 4, &mut recycled);
+        assert_eq!(recycled, fresh);
+    }
+
     #[test]
     fn saturation_is_flagged_and_propagated() {
         // `bump` loses an event only at the ceiling — and says so.
@@ -787,11 +991,11 @@ mod tests {
         let s = dna("ACGTACGT");
         let mut set = seed(&s, gap(0, 1), 2);
         assert!(!set.is_empty());
-        let cap = set.entries.capacity();
+        let cap = set.arenas[0].capacity();
         set.reset(3);
         assert!(set.is_empty());
         assert_eq!(set.level(), 3);
-        assert_eq!(set.entries.capacity(), cap);
+        assert_eq!(set.arenas[0].capacity(), cap);
     }
 
     #[test]

@@ -928,6 +928,7 @@ impl ShardJob {
 
 impl PoolJob for ShardJob {
     type Out = (usize, Result<Option<MinedShard>, MineError>);
+    type Local = ();
 
     fn n_items(&self) -> usize {
         self.order.len()
@@ -945,7 +946,7 @@ impl PoolJob for ShardJob {
         0
     }
 
-    fn process(&self, item: usize) -> Self::Out {
+    fn process(&self, item: usize, _: &mut ()) -> Self::Out {
         let shard = self.order[item];
         if self.stop.load(Ordering::SeqCst) {
             return (shard, Ok(None));
@@ -1138,7 +1139,9 @@ pub fn mine_corpus_traced<O: MineObserver>(
         observer.on_pool(&event);
         outs
     } else {
-        (0..job.n_items()).map(|i| job.process(i)).collect()
+        (0..job.n_items())
+            .map(|i| job.process(i, &mut ()))
+            .collect()
     };
 
     let mut skipped = 0usize;

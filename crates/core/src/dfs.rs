@@ -65,7 +65,7 @@ use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
 use crate::spill::{self, SpillState};
 use crate::trace::{
     AbortEvent, CompleteEvent, LevelEvent, MineObserver, NoopObserver, PoolLevelEvent,
-    RestoreEvent, SeedEvent, SpillEvent, SubtreeEvent, WarningEvent,
+    ResourceMeter, RestoreEvent, SeedEvent, SpillEvent, SubtreeEvent, WarningEvent,
 };
 use perigap_math::BigRatio;
 use perigap_seq::Sequence;
@@ -106,12 +106,16 @@ pub fn mpp_dfs_traced<O: MineObserver>(
     let (counts, rho_exact) = prepare(seq, gap, rho, &config)?;
     let kern = config.kernel.resolve();
     let seed_started = Instant::now();
+    let mut meter = ResourceMeter::start(observer);
     let pils = build_seed(seq, gap, config.start_level, kern);
+    let (minflt, sys) = meter.lap();
     observer.on_seed(&SeedEvent {
         level: config.start_level,
         patterns: pils.len(),
         pil_entries: pils.entry_count(),
         arena_bytes: pils.arena_bytes(),
+        minflt,
+        sys,
         elapsed: seed_started.elapsed(),
     });
     let run = run_hybrid(
@@ -494,6 +498,7 @@ struct DfsJob {
 
 impl PoolJob for DfsJob {
     type Out = Result<TaskOut, MineError>;
+    type Local = ();
 
     fn n_items(&self) -> usize {
         self.tasks.len()
@@ -511,7 +516,7 @@ impl PoolJob for DfsJob {
         self.base_level + 1
     }
 
-    fn process(&self, item: usize) -> Self::Out {
+    fn process(&self, item: usize, _: &mut ()) -> Self::Out {
         match &self.tasks[item] {
             DfsTask::Chunk { lo, hi } => self.process_chunk(*lo, *hi),
             DfsTask::Subtree { members } => self.process_subtree(item, members),
@@ -1135,7 +1140,9 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                             return Err(e);
                         }
                     },
-                    None => (0..job.n_items()).map(|i| job.process(i)).collect(),
+                    None => (0..job.n_items())
+                        .map(|i| job.process(i, &mut ()))
+                        .collect(),
                 };
                 // Consume every task result before surfacing a failure:
                 // an early return here would skip the spill sweep and
@@ -1318,6 +1325,10 @@ pub(crate) fn run_hybrid<O: MineObserver>(
             probed: agg.jc.probed,
             reallocs: agg.jc.reallocs,
             bytes_moved: agg.jc.bytes_moved,
+            // Subtree tasks interleave levels across workers, so no
+            // per-level fault or kernel-time window exists here.
+            minflt: 0,
+            sys: Duration::ZERO,
             join_elapsed: agg.join_elapsed,
             elapsed: agg.elapsed,
             saturated: agg.saturated,

@@ -1314,6 +1314,9 @@ struct DeferComplete<'a, O: MineObserver> {
 }
 
 impl<O: MineObserver> MineObserver for DeferComplete<'_, O> {
+    fn wants_resources(&self) -> bool {
+        self.inner.wants_resources()
+    }
     fn on_seed(&mut self, event: &SeedEvent) {
         self.inner.on_seed(event);
     }
@@ -1642,6 +1645,8 @@ pub fn mine_incremental<O: MineObserver>(
                                 patterns: evaluated,
                                 pil_entries: 0,
                                 arena_bytes: 0,
+                                minflt: 0,
+                                sys: Duration::ZERO,
                                 elapsed: Duration::ZERO,
                             });
                         }
@@ -1658,6 +1663,8 @@ pub fn mine_incremental<O: MineObserver>(
                             probed: 0,
                             reallocs: 0,
                             bytes_moved: 0,
+                            minflt: 0,
+                            sys: Duration::ZERO,
                             join_elapsed: Duration::ZERO,
                             elapsed: stats.elapsed,
                             saturated: false,
@@ -1839,6 +1846,8 @@ fn emit_synthetic_trace<O: MineObserver>(
         patterns: 0,
         pil_entries: 0,
         arena_bytes: 0,
+        minflt: 0,
+        sys: Duration::ZERO,
         elapsed: Duration::ZERO,
     });
     for l in &outcome.stats.levels {
@@ -1855,6 +1864,8 @@ fn emit_synthetic_trace<O: MineObserver>(
             probed: 0,
             reallocs: 0,
             bytes_moved: 0,
+            minflt: 0,
+            sys: Duration::ZERO,
             join_elapsed: Duration::ZERO,
             elapsed: Duration::ZERO,
             saturated: false,

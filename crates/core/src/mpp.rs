@@ -18,7 +18,9 @@ use crate::pattern::Pattern;
 use crate::pil::JoinCounters;
 use crate::prune::{PruneMode, Pruner};
 use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
-use crate::trace::{AbortEvent, CompleteEvent, LevelEvent, MineObserver, NoopObserver, SeedEvent};
+use crate::trace::{
+    AbortEvent, CompleteEvent, LevelEvent, MineObserver, NoopObserver, ResourceMeter, SeedEvent,
+};
 use perigap_math::BigRatio;
 use perigap_seq::Sequence;
 use std::path::PathBuf;
@@ -120,12 +122,16 @@ pub fn mpp_traced<O: MineObserver>(
     let (counts, rho_exact) = prepare(seq, gap, rho, &config)?;
     let kern = config.kernel.resolve();
     let seed_started = Instant::now();
+    let mut meter = ResourceMeter::start(observer);
     let pils = build_seed(seq, gap, config.start_level, kern);
+    let (minflt, sys) = meter.lap();
     observer.on_seed(&SeedEvent {
         level: config.start_level,
         patterns: pils.len(),
         pil_entries: pils.entry_count(),
         arena_bytes: pils.arena_bytes(),
+        minflt,
+        sys,
         elapsed: seed_started.elapsed(),
     });
     let (mut outcome, peak) = match run_levelwise(
@@ -245,6 +251,7 @@ pub(crate) fn run_levelwise<O: MineObserver>(
     let mut candidates_at_level: u128 = sigma.saturating_pow(start as u32);
     let mut peak = current.arena_bytes();
     check_ceiling(config.max_arena_bytes, peak)?;
+    let mut meter = ResourceMeter::start(observer);
 
     while level <= hard_cap {
         let level_started = Instant::now();
@@ -280,6 +287,7 @@ pub(crate) fn run_levelwise<O: MineObserver>(
         stats.support_saturated |= gen_saturated;
         let finish_level = |stats: &mut MineStats,
                             observer: &mut O,
+                            meter: &mut ResourceMeter,
                             join_elapsed: Duration,
                             elapsed,
                             arena_bytes: usize,
@@ -291,6 +299,7 @@ pub(crate) fn run_levelwise<O: MineObserver>(
                 extended,
                 elapsed,
             });
+            let (minflt, sys) = meter.lap();
             observer.on_level(&LevelEvent {
                 level,
                 candidates: candidates_at_level,
@@ -304,6 +313,8 @@ pub(crate) fn run_levelwise<O: MineObserver>(
                 probed: jc.probed,
                 reallocs: jc.reallocs,
                 bytes_moved: jc.bytes_moved,
+                minflt,
+                sys,
                 join_elapsed,
                 elapsed,
                 saturated: gen_saturated,
@@ -314,6 +325,7 @@ pub(crate) fn run_levelwise<O: MineObserver>(
             finish_level(
                 &mut stats,
                 observer,
+                &mut meter,
                 Duration::ZERO,
                 level_started.elapsed(),
                 current.arena_bytes(),
@@ -347,6 +359,7 @@ pub(crate) fn run_levelwise<O: MineObserver>(
         finish_level(
             &mut stats,
             observer,
+            &mut meter,
             join_started.elapsed(),
             level_started.elapsed(),
             live,

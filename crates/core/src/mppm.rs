@@ -19,7 +19,9 @@ use crate::lambda::PruneBound;
 use crate::mpp::{prepare, run_levelwise, MppConfig};
 use crate::parallel::PoolHooks;
 use crate::result::{MineOutcome, MineStats};
-use crate::trace::{AbortEvent, CompleteEvent, EmEvent, MineObserver, NoopObserver, SeedEvent};
+use crate::trace::{
+    AbortEvent, CompleteEvent, EmEvent, MineObserver, NoopObserver, ResourceMeter, SeedEvent,
+};
 use perigap_math::BigRatio;
 use perigap_seq::Sequence;
 use std::time::Instant;
@@ -95,12 +97,16 @@ fn mppm_prelude<O: MineObserver>(
     let start = config.start_level;
     let kern = config.kernel.resolve();
     let seed_started = Instant::now();
+    let mut meter = ResourceMeter::start(observer);
     let pils = build_seed(seq, gap, start, kern);
+    let (minflt, sys) = meter.lap();
     observer.on_seed(&SeedEvent {
         level: start,
         patterns: pils.len(),
         pil_entries: pils.entry_count(),
         arena_bytes: pils.arena_bytes(),
+        minflt,
+        sys,
         elapsed: seed_started.elapsed(),
     });
     let max_sup = pils.max_support();

@@ -299,6 +299,8 @@ pub fn mine_collection_traced<O: MineObserver>(
                 probed: 0,
                 reallocs: 0,
                 bytes_moved: 0,
+                minflt: 0,
+                sys: Duration::ZERO,
                 join_elapsed,
                 elapsed,
                 saturated: false,

@@ -11,11 +11,21 @@
 //! the level is drained, so a skewed chunk cannot stall the level the
 //! way statically partitioned spawns could.
 //!
-//! Determinism is preserved: chunk results are merged in chunk-index
+//! Determinism is preserved: chunk results are gathered in chunk-index
 //! order (chunks partition the sorted kept slice, so concatenation is
 //! already globally sorted) and the final outcome is sorted exactly
 //! like the serial engine's. Output is byte-identical to
 //! [`crate::mpp::mpp`].
+//!
+//! ## Memory
+//!
+//! Each worker owns a persistent output [`PilSet`]; a chunk appends its
+//! candidates there and reports only its pattern range. The joined
+//! child generation is [gathered](PilSet::gather) from those ranges and
+//! takes the workers' arenas over without copying an entry, and the
+//! dead parent's arenas become the next level's outputs — two buffer
+//! sets alternating as in Figure 3, so a level faults in fresh pages
+//! only when its generation outgrows every earlier one.
 //!
 //! ## Failure handling
 //!
@@ -30,7 +40,7 @@
 //! (`JoinHandle::is_finished` during receive timeouts) covers the
 //! pathological case of a worker dying without managing to report.
 
-use crate::adaptive::{ReprCache, ReprPolicy};
+use crate::adaptive::ReprCache;
 use crate::arena::{build_seed, generate_candidates, prefix_runs, PilSet};
 use crate::counts::OffsetCounts;
 use crate::error::MineError;
@@ -43,10 +53,11 @@ use crate::pil::JoinCounters;
 use crate::prune::Pruner;
 use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
 use crate::trace::{
-    AbortEvent, CompleteEvent, LevelEvent, MineObserver, NoopObserver, PoolLevelEvent, SeedEvent,
-    WorkerLevelStats,
+    AbortEvent, CompleteEvent, LevelEvent, MineObserver, NoopObserver, PoolLevelEvent,
+    ResourceMeter, SeedEvent, WorkerLevelStats,
 };
 use perigap_seq::Sequence;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -105,12 +116,16 @@ pub fn mpp_parallel_traced<O: MineObserver>(
     let (counts, rho_exact) = prepare(seq, gap, rho, &config)?;
     let kern = config.kernel.resolve();
     let seed_started = Instant::now();
+    let mut meter = ResourceMeter::start(observer);
     let pils = build_seed(seq, gap, config.start_level, kern);
+    let (minflt, sys) = meter.lap();
     observer.on_seed(&SeedEvent {
         level: config.start_level,
         patterns: pils.len(),
         pil_entries: pils.entry_count(),
         arena_bytes: pils.arena_bytes(),
+        minflt,
+        sys,
         elapsed: seed_started.elapsed(),
     });
     let run = run_parallel(
@@ -195,6 +210,11 @@ pub(crate) trait PoolJob: Send + Sync + 'static {
     /// What one item produces.
     type Out: Send + 'static;
 
+    /// Per-worker state lent to the job for one [`WorkerPool::run_with`]
+    /// and handed back when it returns — the breadth-first engine's
+    /// output arena and dense scratch. `()` for jobs without any.
+    type Local: Send + 'static;
+
     /// Number of items to claim; the cursor drains at this count.
     fn n_items(&self) -> usize;
 
@@ -207,8 +227,9 @@ pub(crate) trait PoolJob: Send + Sync + 'static {
     /// The level this job's [`PoolLevelEvent`] reports.
     fn progress_level(&self) -> usize;
 
-    /// Process item `item`. Runs under `catch_unwind` on workers.
-    fn process(&self, item: usize) -> Self::Out;
+    /// Process item `item` with the claiming worker's `local`. Runs
+    /// under `catch_unwind` on workers.
+    fn process(&self, item: usize, local: &mut Self::Local) -> Self::Out;
 
     /// How many candidates `out` contributes to the per-worker
     /// [`WorkerLevelStats`] tally.
@@ -230,9 +251,6 @@ struct LevelJob {
     n_chunks: usize,
     cursor: AtomicUsize,
     hooks: PoolHooks,
-    /// PIL representation policy; each chunk builds its own
-    /// [`ReprCache`] (suffix reuse amortizes within a chunk).
-    repr: ReprPolicy,
     /// Compute kernel for the dense probe inside each chunk.
     kern: ResolvedKernel,
     /// Shared pruning state; floor reads inside a chunk see raises from
@@ -240,8 +258,30 @@ struct LevelJob {
     pruner: Pruner,
 }
 
+/// One worker's persistent output state, lent to every level's job.
+/// Its candidates go into `out`, whose arena becomes part of the child
+/// generation once the level is joined; `repr` keeps the worker's
+/// recycled dense buffers.
+struct LevelScratch {
+    /// The worker id, i.e. the index of `out` among the level's parts.
+    worker: usize,
+    out: PilSet,
+    /// Parent-scoped: a chunk is a run of consecutive left parents and
+    /// almost never meets a partner group twice (see [`ReprCache`]).
+    repr: ReprCache,
+}
+
+/// One chunk's candidates: patterns `range` of worker `worker`'s `out`,
+/// with the chunk's join counters (merged level-wide by the caller).
+struct ChunkOut {
+    worker: usize,
+    range: Range<usize>,
+    jc: JoinCounters,
+}
+
 impl PoolJob for LevelJob {
-    type Out = (PilSet, JoinCounters);
+    type Out = ChunkOut;
+    type Local = LevelScratch;
 
     fn n_items(&self) -> usize {
         self.n_chunks
@@ -260,14 +300,12 @@ impl PoolJob for LevelJob {
     }
 
     /// Generate the candidates whose left parent lies in chunk `c`,
-    /// together with the chunk's join counters (merged level-wide by
-    /// the caller).
-    fn process(&self, c: usize) -> (PilSet, JoinCounters) {
+    /// appending them to the worker's output set.
+    fn process(&self, c: usize, scratch: &mut LevelScratch) -> ChunkOut {
         let lo = c * self.chunk;
         let hi = (lo + self.chunk).min(self.kept.len());
-        let mut out = PilSet::new(self.next_level);
-        let mut repr = ReprCache::with_kernel(self.repr, self.kern, Some(self.gap));
-        repr.begin(self.set.len());
+        let first = scratch.out.len();
+        scratch.repr.begin(self.set.len());
         let mut jc = JoinCounters::default();
         generate_candidates(
             &self.set,
@@ -276,33 +314,40 @@ impl PoolJob for LevelJob {
             self.gap,
             lo,
             hi,
-            &mut out,
-            &mut repr,
+            &mut scratch.out,
+            &mut scratch.repr,
             self.kern,
             &mut jc,
             &self.pruner,
         );
-        (out, jc)
+        ChunkOut {
+            worker: scratch.worker,
+            range: first..scratch.out.len(),
+            jc,
+        }
     }
 
-    fn out_weight(out: &(PilSet, JoinCounters)) -> usize {
-        out.0.len()
+    fn out_weight(out: &ChunkOut) -> usize {
+        out.range.len()
     }
 }
 
 /// What a worker sends back for each item it claimed. Exactly one
 /// message per claimed item, success or not — the invariant the merge
-/// loop's outstanding count rests on.
-enum WorkerMsg<T> {
+/// loop's outstanding count rests on — plus one `Released` per job.
+enum WorkerMsg<J: PoolJob> {
     /// Item `chunk` completed with the given output.
     Chunk {
         chunk: usize,
         worker: usize,
-        out: T,
+        out: J::Out,
         elapsed: Duration,
     },
     /// The worker panicked while processing `chunk` and is exiting.
     Failed { chunk: usize, message: String },
+    /// The worker found the job's cursor drained and dropped its handle
+    /// to the job; its local state comes back.
+    Released { worker: usize, local: J::Local },
 }
 
 /// Render a panic payload for the failure report.
@@ -317,15 +362,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// A worker thread: claim items of the current job until its cursor
-/// drains. The work runs under `catch_unwind` so every claimed
-/// item yields exactly one [`WorkerMsg`]; after reporting a failure
-/// the worker exits.
+/// drains, then release the job and hand its local state back. The
+/// work runs under `catch_unwind` so every claimed item yields exactly
+/// one [`WorkerMsg`]; after reporting a failure the worker exits.
 fn worker_loop<J: PoolJob>(
     id: usize,
-    job_rx: mpsc::Receiver<Arc<J>>,
-    results: mpsc::Sender<WorkerMsg<J::Out>>,
+    job_rx: mpsc::Receiver<(Arc<J>, J::Local)>,
+    results: mpsc::Sender<WorkerMsg<J>>,
 ) {
-    while let Ok(job) = job_rx.recv() {
+    while let Ok((job, mut local)) = job_rx.recv() {
         loop {
             let c = job.cursor().fetch_add(1, Ordering::Relaxed);
             if c >= job.n_items() {
@@ -336,7 +381,7 @@ fn worker_loop<J: PoolJob>(
                 if job.hooks().panic_workers() {
                     panic!("injected worker panic");
                 }
-                job.process(c)
+                job.process(c, &mut local)
             }));
             match outcome {
                 Ok(out) => {
@@ -362,6 +407,15 @@ fn worker_loop<J: PoolJob>(
                 }
             }
         }
+        // Drop the handle before reporting: once every worker has
+        // reported, the caller holds the job alone.
+        drop(job);
+        if results
+            .send(WorkerMsg::Released { worker: id, local })
+            .is_err()
+        {
+            return;
+        }
     }
 }
 
@@ -370,9 +424,22 @@ fn worker_loop<J: PoolJob>(
 /// whatever job is current. Worker `0` is the calling thread; pool
 /// threads are `1..threads` (named `pgmine-worker-<id>`).
 pub(crate) struct WorkerPool<J: PoolJob> {
-    job_txs: Vec<mpsc::Sender<Arc<J>>>,
-    results_rx: mpsc::Receiver<WorkerMsg<J::Out>>,
+    job_txs: Vec<mpsc::Sender<(Arc<J>, J::Local)>>,
+    results_rx: mpsc::Receiver<WorkerMsg<J>>,
     handles: Vec<JoinHandle<()>>,
+}
+
+/// A drained job, handed back by [`WorkerPool::run_with`].
+pub(crate) struct PoolRun<J: PoolJob> {
+    /// Per-item outputs, in item order.
+    pub(crate) outs: Vec<J::Out>,
+    /// The workers' local states, in worker order.
+    pub(crate) locals: Vec<J::Local>,
+    /// The job; every worker has dropped its handle, so this is the only
+    /// one unless the caller kept a clone.
+    pub(crate) job: Arc<J>,
+    /// Per-worker chunk/busy-time breakdown.
+    pub(crate) event: PoolLevelEvent,
 }
 
 impl<J: PoolJob> WorkerPool<J> {
@@ -381,7 +448,7 @@ impl<J: PoolJob> WorkerPool<J> {
         let mut job_txs = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for id in 1..=workers {
-            let (job_tx, job_rx) = mpsc::channel::<Arc<J>>();
+            let (job_tx, job_rx) = mpsc::channel::<(Arc<J>, J::Local)>();
             let results = results_tx.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("pgmine-worker-{id}"))
@@ -400,19 +467,39 @@ impl<J: PoolJob> WorkerPool<J> {
         }
     }
 
-    /// Drain one job across the pool plus the calling thread; return
-    /// the per-item outputs in item order. A worker failure aborts with
-    /// [`MineError::WorkerFailed`] in bounded time.
-    pub(crate) fn run(&self, job: Arc<J>) -> Result<(Vec<J::Out>, PoolLevelEvent), MineError> {
+    /// Threads that process items: the pool's workers plus the caller.
+    pub(crate) fn workers(&self) -> usize {
+        self.handles.len() + 1
+    }
+
+    /// Drain one job across the pool plus the calling thread, lending
+    /// `locals[w]` to worker `w` (worker 0 is this thread). Returns once
+    /// every item is processed *and* every worker has released the job,
+    /// so the handed-back [`PoolRun::job`] and locals are deterministic.
+    /// A worker failure aborts with [`MineError::WorkerFailed`] in
+    /// bounded time.
+    pub(crate) fn run_with(
+        &self,
+        job: Arc<J>,
+        locals: Vec<J::Local>,
+    ) -> Result<PoolRun<J>, MineError> {
+        let workers = self.workers();
+        assert_eq!(locals.len(), workers, "one local state per worker");
         let level_started = Instant::now();
-        for tx in &self.job_txs {
+        let mut back: Vec<Option<J::Local>> = (0..workers).map(|_| None).collect();
+        let mut locals = locals.into_iter();
+        let mut main_local = locals.next().expect("worker 0 is this thread");
+        let mut releasing = 0usize;
+        for (w, (tx, local)) in self.job_txs.iter().zip(locals).enumerate() {
             // A send only fails if a worker died; the stealing loop
             // below still completes the level without it (and the
             // liveness check reports the death if it claimed a chunk).
-            let _ = tx.send(Arc::clone(&job));
+            match tx.send((Arc::clone(&job), local)) {
+                Ok(()) => releasing += 1,
+                Err(mpsc::SendError((_, local))) => back[w + 1] = Some(local),
+            }
         }
         let n_items = job.n_items();
-        let workers = self.handles.len() + 1; // worker 0 = this thread
         let mut chunks = vec![0usize; workers];
         let mut candidates = vec![0usize; workers];
         let mut busy = vec![Duration::ZERO; workers];
@@ -425,7 +512,7 @@ impl<J: PoolJob> WorkerPool<J> {
                     break;
                 }
                 let chunk_started = Instant::now();
-                let out = job.process(c);
+                let out = job.process(c, &mut main_local);
                 busy[0] += chunk_started.elapsed();
                 chunks[0] += 1;
                 candidates[0] += J::out_weight(&out);
@@ -433,12 +520,13 @@ impl<J: PoolJob> WorkerPool<J> {
                 mined_here += 1;
             }
         }
+        back[0] = Some(main_local);
         // Each item was claimed by exactly one thread, and every
         // worker-claimed item sends exactly one message (success or
         // failure — see `worker_loop`), so the merge waits on a count.
         let mut outstanding = n_items - mined_here;
         let mut dead_since: Option<Instant> = None;
-        while outstanding > 0 {
+        while outstanding > 0 || releasing > 0 {
             match self.results_rx.recv_timeout(RECV_TICK) {
                 Ok(WorkerMsg::Chunk {
                     chunk,
@@ -451,6 +539,10 @@ impl<J: PoolJob> WorkerPool<J> {
                     busy[worker] += elapsed;
                     parts[chunk] = Some(out);
                     outstanding -= 1;
+                }
+                Ok(WorkerMsg::Released { worker, local }) => {
+                    back[worker] = Some(local);
+                    releasing -= 1;
                 }
                 Ok(WorkerMsg::Failed { chunk, message }) => {
                     return Err(MineError::WorkerFailed { chunk, message });
@@ -494,11 +586,27 @@ impl<J: PoolJob> WorkerPool<J> {
                 })
                 .collect(),
         };
-        let outs = parts
-            .into_iter()
-            .map(|p| p.expect("all items accounted for"))
-            .collect();
-        Ok((outs, event))
+        Ok(PoolRun {
+            outs: parts
+                .into_iter()
+                .map(|p| p.expect("all items accounted for"))
+                .collect(),
+            locals: back
+                .into_iter()
+                .map(|l| l.expect("every local handed back"))
+                .collect(),
+            job,
+            event,
+        })
+    }
+}
+
+impl<J: PoolJob<Local = ()>> WorkerPool<J> {
+    /// [`WorkerPool::run_with`] for jobs without local state: the
+    /// per-item outputs in item order plus the pool event.
+    pub(crate) fn run(&self, job: Arc<J>) -> Result<(Vec<J::Out>, PoolLevelEvent), MineError> {
+        let run = self.run_with(job, vec![(); self.workers()])?;
+        Ok((run.outs, run.event))
     }
 }
 
@@ -537,6 +645,21 @@ fn run_parallel<O: MineObserver>(
 
     // Spawned once; lives until the mine returns.
     let pool = (threads > 1).then(|| WorkerPool::<LevelJob>::new(threads - 1));
+    // Figure 3 needs two generations at a time, and so do the buffers:
+    // the child is written into the workers' arenas, and once it is
+    // joined the dead parent's arenas wait in `spare` to hold the next
+    // child — no merge copy, no per-level unmap and re-fault.
+    let mut spare: Vec<Vec<(u32, u64)>> = Vec::new();
+    let mut scratches: Vec<LevelScratch> = (0..threads)
+        .map(|worker| LevelScratch {
+            worker,
+            out: PilSet::default(),
+            repr: ReprCache::with_kernel(config.pil_repr, kern, Some(gap)).per_parent(),
+        })
+        .collect();
+    // Below the pool threshold a level runs on this thread in one pass,
+    // where the whole-level dense cache gets its σ-fold reuse.
+    let mut serial_repr = ReprCache::with_kernel(config.pil_repr, kern, Some(gap));
 
     let mut stats = MineStats {
         n_used: n,
@@ -551,6 +674,7 @@ fn run_parallel<O: MineObserver>(
     let mut candidates_at_level: u128 = sigma.saturating_pow(start as u32);
     let mut peak = current.arena_bytes();
     check_ceiling(config.max_arena_bytes, peak)?;
+    let mut meter = ResourceMeter::start(observer);
 
     while level <= hard_cap {
         let level_started = Instant::now();
@@ -586,6 +710,7 @@ fn run_parallel<O: MineObserver>(
         stats.support_saturated |= gen_saturated;
         let finish_level = |stats: &mut MineStats,
                             observer: &mut O,
+                            meter: &mut ResourceMeter,
                             join_elapsed: Duration,
                             elapsed,
                             arena_bytes: usize,
@@ -597,6 +722,7 @@ fn run_parallel<O: MineObserver>(
                 extended,
                 elapsed,
             });
+            let (minflt, sys) = meter.lap();
             observer.on_level(&LevelEvent {
                 level,
                 candidates: candidates_at_level,
@@ -610,6 +736,8 @@ fn run_parallel<O: MineObserver>(
                 probed: jc.probed,
                 reallocs: jc.reallocs,
                 bytes_moved: jc.bytes_moved,
+                minflt,
+                sys,
                 join_elapsed,
                 elapsed,
                 saturated: gen_saturated,
@@ -620,6 +748,7 @@ fn run_parallel<O: MineObserver>(
             finish_level(
                 &mut stats,
                 observer,
+                &mut meter,
                 Duration::ZERO,
                 level_started.elapsed(),
                 current.arena_bytes(),
@@ -635,13 +764,16 @@ fn run_parallel<O: MineObserver>(
         // the live footprint either way.
         let parent_bytes = current.arena_bytes();
         let mut level_jc = JoinCounters::default();
-        let next: PilSet = match &pool {
+        let (next, parent) = match &pool {
             Some(pool) if kept.len() >= PARALLEL_THRESHOLD => {
                 let chunk = kept
                     .len()
                     .div_ceil(threads * CHUNKS_PER_THREAD)
                     .max(MIN_CHUNK);
                 let n_chunks = kept.len().div_ceil(chunk);
+                for s in &mut scratches {
+                    s.out = PilSet::with_arena(level + 1, spare.pop().unwrap_or_default());
+                }
                 let job = Arc::new(LevelJob {
                     set: std::mem::take(&mut current),
                     kept: std::mem::take(&mut kept),
@@ -652,23 +784,29 @@ fn run_parallel<O: MineObserver>(
                     n_chunks,
                     cursor: AtomicUsize::new(0),
                     hooks,
-                    repr: config.pil_repr,
                     kern,
                     pruner: pruner.clone(),
                 });
-                let (parts, pool_event) = pool.run(job)?;
-                observer.on_pool(&pool_event);
-                let mut sets = Vec::with_capacity(parts.len());
-                for (set, jc) in parts {
-                    level_jc.absorb(&jc);
-                    sets.push(set);
+                let run = pool.run_with(job, std::mem::take(&mut scratches))?;
+                observer.on_pool(&run.event);
+                scratches = run.locals;
+                let job = Arc::try_unwrap(run.job)
+                    .ok()
+                    .expect("every worker released the level job");
+                kept = job.kept;
+                let parts: Vec<PilSet> = scratches
+                    .iter_mut()
+                    .map(|s| std::mem::take(&mut s.out))
+                    .collect();
+                for out in &run.outs {
+                    level_jc.absorb(&out.jc);
                 }
-                PilSet::concat(level + 1, sets)
+                let pieces = run.outs.into_iter().map(|o| (o.worker, o.range));
+                (PilSet::gather(level + 1, parts, pieces), job.set)
             }
             _ => {
-                let mut out = PilSet::new(level + 1);
-                let mut repr = ReprCache::with_kernel(config.pil_repr, kern, Some(gap));
-                repr.begin(current.len());
+                let mut out = PilSet::with_arena(level + 1, spare.pop().unwrap_or_default());
+                serial_repr.begin(current.len());
                 generate_candidates(
                     &current,
                     &kept,
@@ -677,20 +815,29 @@ fn run_parallel<O: MineObserver>(
                     0,
                     kept.len(),
                     &mut out,
-                    &mut repr,
+                    &mut serial_repr,
                     kern,
                     &mut level_jc,
                     &pruner,
                 );
-                out
+                (out, std::mem::take(&mut current))
             }
         };
+        // The parent is dead once its child exists: its arenas hold the
+        // next child. Keep at most one per worker, the roomiest.
+        spare.extend(parent.into_arenas());
+        spare.sort_unstable_by_key(|a| std::cmp::Reverse(a.capacity()));
+        spare.truncate(threads);
+        // Parent + child are every entry alive now: the child's arenas
+        // are the workers' own, gathered without a copy. (The spare
+        // arenas' leftover capacity is not counted.)
         let live = parent_bytes + next.arena_bytes();
         peak = peak.max(live);
         check_ceiling(config.max_arena_bytes, live)?;
         finish_level(
             &mut stats,
             observer,
+            &mut meter,
             join_started.elapsed(),
             level_started.elapsed(),
             live,
@@ -790,6 +937,55 @@ mod tests {
         for threads in [2usize, 4, 8] {
             let parallel = mpp_parallel(&seq, g, rho, 6, MppConfig::default(), threads).unwrap();
             assert_same_outcome(&parallel, &serial, &format!("{threads} threads"));
+        }
+    }
+
+    #[test]
+    fn ceiling_gauge_is_exact_on_the_pooled_path() {
+        // The gauge is parent + child, exactly the arenas held: the
+        // unbounded run's peak is itself an admissible ceiling, and one
+        // byte less aborts with a terminal abort event.
+        let seq = uniform(&mut StdRng::seed_from_u64(99), Alphabet::Protein, 3_000);
+        let (g, rho) = (gap(0, 2), 1e-6);
+        let capped = |cap: usize| MppConfig {
+            max_arena_bytes: Some(cap),
+            ..MppConfig::default()
+        };
+        for threads in [2usize, 4] {
+            let mut metrics = MetricsObserver::new();
+            let unbounded =
+                mpp_parallel_traced(&seq, g, rho, 6, MppConfig::default(), threads, &mut metrics)
+                    .unwrap();
+            let peak = metrics.complete.as_ref().unwrap().peak_arena_bytes;
+            // The peak is reached on a pooled level.
+            let peak_level = metrics
+                .levels
+                .iter()
+                .find(|l| l.arena_bytes == peak)
+                .expect("peak comes from a level")
+                .level;
+            assert!(
+                metrics.pool.iter().any(|p| p.level == peak_level + 1),
+                "{threads} threads: level {peak_level} not pooled"
+            );
+            let at_peak = mpp_parallel(&seq, g, rho, 6, capped(peak), threads).unwrap();
+            assert_same_outcome(&at_peak, &unbounded, &format!("{threads} threads at peak"));
+            let mut sink = crate::trace::JsonlObserver::new(Vec::new());
+            let err = mpp_parallel_traced(&seq, g, rho, 6, capped(peak - 1), threads, &mut sink)
+                .unwrap_err();
+            match err {
+                MineError::MemoryCeiling { limit, required } => {
+                    assert_eq!(limit, peak - 1);
+                    assert_eq!(required, peak);
+                }
+                other => panic!("expected MemoryCeiling, got {other:?}"),
+            }
+            let trace = String::from_utf8(sink.finish().unwrap()).unwrap();
+            let report = crate::trace::validate_trace(&trace).unwrap();
+            assert!(
+                report.aborted,
+                "{threads} threads: abort must end the trace"
+            );
         }
     }
 

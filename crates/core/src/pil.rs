@@ -40,10 +40,12 @@
 //!   window width, at the cost of `span + 1` words of memory and an
 //!   `O(span)` build.
 //!
-//! The dense build amortizes across every prefix sharing the suffix
-//! (the run-local fan-out of candidate generation), which is why the
-//! engines cache it per suffix — see [`crate::adaptive::ReprCache`] for
-//! the occupancy-based policy that picks a side per list.
+//! The dense build amortizes across the left parents that join against
+//! the suffix — up to σ of them per level, reused only when one pass
+//! walks the whole level — and the engines hold it per suffix for as
+//! long as that reuse can happen. See [`crate::adaptive::ReprCache`]
+//! for the build lifetimes, the recycled build buffers, and the
+//! occupancy-based policy that picks a side per list.
 
 use crate::gap::GapRequirement;
 use crate::pattern::Pattern;
@@ -341,38 +343,63 @@ impl DensePil {
     /// `None` for an empty list or when the total count overflows
     /// `u64`.
     pub fn build(entries: &[(u32, u64)]) -> Option<DensePil> {
-        let (&(first, _), &(last, _)) = (entries.first()?, entries.last()?);
-        let base = first as u64;
-        let span = (last as u64 - base) as usize + 1;
-        let mut psum = vec![0u64; span + 1];
-        for &(x, y) in entries {
-            psum[(x as u64 - base) as usize + 1] = y;
-        }
-        let mut acc: u64 = 0;
-        for slot in psum.iter_mut() {
-            acc = acc.checked_add(*slot)?;
-            *slot = acc;
-        }
-        Some(DensePil {
-            base,
-            psum,
-            wsum: None,
-        })
+        DensePil::build_reusing(entries, None, &mut Vec::new())
     }
 
     /// [`DensePil::build`] plus the windowed-sum array for `gap`'s
     /// window width, enabling the single-load SIMD probe. Same `None`
     /// conditions as `build`.
     pub fn build_windowed(entries: &[(u32, u64)], gap: GapRequirement) -> Option<DensePil> {
-        let mut dense = DensePil::build(entries)?;
-        let span = dense.span();
-        let width = (gap.max_step() - gap.min_step() + 1) as u64;
-        let psum = &dense.psum;
-        let wsum = (0..=span)
-            .map(|i| psum[(i + width as usize).min(span)] - psum[i])
-            .collect();
-        dense.wsum = Some((width, wsum));
-        Some(dense)
+        DensePil::build_reusing(entries, Some(gap), &mut Vec::new())
+    }
+
+    /// The shared build: the arrays are written into buffers popped
+    /// from `spare` (fresh ones when it runs dry), and a refused build
+    /// returns its buffer there. With `gap` the windowed sums for its
+    /// width are built too. Recycled buffers are already resident, so a
+    /// build over one touches no new pages.
+    pub(crate) fn build_reusing(
+        entries: &[(u32, u64)],
+        gap: Option<GapRequirement>,
+        spare: &mut Vec<Vec<u64>>,
+    ) -> Option<DensePil> {
+        let (&(first, _), &(last, _)) = (entries.first()?, entries.last()?);
+        let base = first as u64;
+        let span = (last as u64 - base) as usize + 1;
+        let mut psum = spare.pop().unwrap_or_default();
+        psum.clear();
+        psum.resize(span + 1, 0);
+        for &(x, y) in entries {
+            psum[(x as u64 - base) as usize + 1] = y;
+        }
+        let mut acc: u64 = 0;
+        for slot in psum.iter_mut() {
+            match acc.checked_add(*slot) {
+                Some(sum) => acc = sum,
+                None => {
+                    spare.push(psum);
+                    return None;
+                }
+            }
+            *slot = acc;
+        }
+        let wsum = gap.map(|gap| {
+            let width = (gap.max_step() - gap.min_step() + 1) as u64;
+            let mut wsum = spare.pop().unwrap_or_default();
+            wsum.clear();
+            wsum.extend((0..=span).map(|i| psum[(i + width as usize).min(span)] - psum[i]));
+            (width, wsum)
+        });
+        Some(DensePil { base, psum, wsum })
+    }
+
+    /// Consume the build, returning its buffers to `spare` for
+    /// [`DensePil::build_reusing`].
+    pub(crate) fn recycle(self, spare: &mut Vec<Vec<u64>>) {
+        spare.push(self.psum);
+        if let Some((_, wsum)) = self.wsum {
+            spare.push(wsum);
+        }
     }
 
     /// Occupied offset span (number of dense slots).
@@ -1014,6 +1041,24 @@ mod tests {
         // absorb folds totals.
         jc.absorb(&jc2);
         assert_eq!(jc.joins, 2);
+    }
+
+    #[test]
+    fn reused_buffers_build_identical_dense_arrays() {
+        // Spare buffers arrive dirty and mis-sized; the build must not
+        // care, and a refused build hands its buffer back.
+        let g = gap(1, 3);
+        let entries = vec![(3u32, 2u64), (5, 1), (9, 4)];
+        let mut spare = vec![vec![u64::MAX; 100], vec![7; 3]];
+        let reused = DensePil::build_reusing(&entries, Some(g), &mut spare).unwrap();
+        let fresh = DensePil::build_windowed(&entries, g).unwrap();
+        assert_eq!(reused.psum(), fresh.psum());
+        assert_eq!(reused.wsum(), fresh.wsum());
+        assert!(spare.is_empty());
+        reused.recycle(&mut spare);
+        assert_eq!(spare.len(), 2);
+        assert!(DensePil::build_reusing(&[(1, u64::MAX), (2, 5)], None, &mut spare).is_none());
+        assert_eq!(spare.len(), 2);
     }
 
     #[test]

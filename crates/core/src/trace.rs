@@ -33,8 +33,8 @@
 //!
 //! | event | fields |
 //! |---|---|
-//! | `seed` | `level`, `patterns`, `pil_entries`, `arena_bytes`, `elapsed_ms` |
-//! | `level` | `level`, `candidates`, `evaluated`, `frequent`, `kept`, `pruned_bound`, `pruned_support`, `arena_bytes`, `joins`, `probed`, `reallocs`, `bytes_moved`, `join_ms`, `elapsed_ms`, `saturated` |
+//! | `seed` | `level`, `patterns`, `pil_entries`, `arena_bytes`, `minflt`, `sys_ms`, `elapsed_ms` |
+//! | `level` | `level`, `candidates`, `evaluated`, `frequent`, `kept`, `pruned_bound`, `pruned_support`, `arena_bytes`, `joins`, `probed`, `reallocs`, `bytes_moved`, `minflt`, `sys_ms`, `join_ms`, `elapsed_ms`, `saturated` |
 //! | `pool` | `level`, `chunks`, `workers` (array of `{worker, chunks, candidates, busy_ms, idle_ms}`) |
 //! | `subtree` | `index`, `level`, `patterns`, `deepest`, `evaluated`, `frequent`, `peak_arena_bytes`, `batches`, `batch_candidates`, `elapsed_ms` |
 //! | `em` | `m`, `em`, `elapsed_ms` |
@@ -46,6 +46,12 @@
 //! | `diff` | `new`, `dropped`, `changed`, `unchanged` |
 //! | `abort` | `message` |
 //! | `summary` | `frequent`, `levels`, `total_candidates`, `n_used`, `support_saturated`, `peak_arena_bytes`, `kernel`, `total_ms` |
+//!
+//! `minflt` and `sys_ms` are the process's minor page faults and kernel
+//! CPU time spent during the phase, read from `/proc/self/stat` only
+//! for observers whose [`MineObserver::wants_resources`] is true (zero
+//! otherwise); they are process-wide, so they include every pool
+//! worker.
 //!
 //! `level` events appear in strictly increasing level order and the
 //! `summary` line is last; [`validate_trace`] checks both plus the
@@ -71,6 +77,11 @@ pub struct SeedEvent {
     pub pil_entries: usize,
     /// Approximate bytes held by the generation's arena buffers.
     pub arena_bytes: usize,
+    /// Minor page faults taken during the seed phase (0 unless the
+    /// observer [wants resources](MineObserver::wants_resources)).
+    pub minflt: u64,
+    /// Kernel CPU time spent during the seed phase (likewise).
+    pub sys: Duration,
     /// Wall-clock time of the seed scan.
     pub elapsed: Duration,
 }
@@ -114,6 +125,11 @@ pub struct LevelEvent {
     pub reallocs: u64,
     /// Bytes copied by those reallocations.
     pub bytes_moved: u64,
+    /// Minor page faults the process took during this level (0 unless
+    /// the observer [wants resources](MineObserver::wants_resources)).
+    pub minflt: u64,
+    /// Kernel CPU time the process spent during this level (likewise).
+    pub sys: Duration,
     /// Time spent in the join fan-out generating the next level (zero
     /// when the level is terminal).
     pub join_elapsed: Duration,
@@ -385,10 +401,77 @@ impl CompleteEvent {
     }
 }
 
+/// The process's cumulative minor faults and kernel CPU time, from
+/// `/proc/self/stat` (fields 10 and 15; the kernel reports the latter
+/// in `USER_HZ` = 100 ticks per second, so it has 10 ms resolution).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ProcCounters {
+    /// Minor page faults since process start.
+    minflt: u64,
+    /// Kernel CPU time since process start.
+    sys: Duration,
+}
+
+impl ProcCounters {
+    /// Read the counters now; `None` where `/proc` is unavailable.
+    pub(crate) fn read() -> Option<ProcCounters> {
+        let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+        // Field 2 is the parenthesised command name, which may contain
+        // spaces; fields from 3 on follow its closing parenthesis.
+        let mut fields = stat[stat.rfind(')')? + 1..].split_whitespace();
+        let minflt = fields.nth(10 - 3)?.parse().ok()?;
+        let stime: u64 = fields.nth(15 - 10 - 1)?.parse().ok()?;
+        Some(ProcCounters {
+            minflt,
+            sys: Duration::from_millis(stime.saturating_mul(10)),
+        })
+    }
+}
+
+/// Per-phase resource deltas for the engines' seed and level events.
+/// Reads `/proc` only when the observer asked for it, so under
+/// [`NoopObserver`] every lap folds to zeros.
+pub(crate) struct ResourceMeter {
+    last: Option<ProcCounters>,
+}
+
+impl ResourceMeter {
+    /// Start measuring if `observer` wants resource counters.
+    pub(crate) fn start<O: MineObserver + ?Sized>(observer: &O) -> ResourceMeter {
+        ResourceMeter {
+            last: if observer.wants_resources() {
+                ProcCounters::read()
+            } else {
+                None
+            },
+        }
+    }
+
+    /// Minor faults and kernel time since the previous lap (or the
+    /// start); zeros when not measuring.
+    pub(crate) fn lap(&mut self) -> (u64, Duration) {
+        let Some(last) = self.last else {
+            return (0, Duration::ZERO);
+        };
+        let now = ProcCounters::read().unwrap_or(last);
+        self.last = Some(now);
+        (
+            now.minflt.saturating_sub(last.minflt),
+            now.sys.saturating_sub(last.sys),
+        )
+    }
+}
+
 /// Receiver of mining events. All methods default to no-ops, so an
 /// observer implements only what it cares about — and [`NoopObserver`]
 /// monomorphizes to nothing at all.
 pub trait MineObserver {
+    /// Whether the engines should fill the `minflt`/`sys` fields of
+    /// seed and level events, which costs a `/proc/self/stat` read per
+    /// event. Off by default, so [`NoopObserver`] reads nothing.
+    fn wants_resources(&self) -> bool {
+        false
+    }
     /// The seed generation was built.
     fn on_seed(&mut self, _event: &SeedEvent) {}
     /// A level finished (filter + join).
@@ -429,6 +512,9 @@ pub struct NoopObserver;
 impl MineObserver for NoopObserver {}
 
 impl<O: MineObserver + ?Sized> MineObserver for &mut O {
+    fn wants_resources(&self) -> bool {
+        (**self).wants_resources()
+    }
     fn on_seed(&mut self, event: &SeedEvent) {
         (**self).on_seed(event);
     }
@@ -474,6 +560,9 @@ impl<O: MineObserver + ?Sized> MineObserver for &mut O {
 }
 
 impl<A: MineObserver, B: MineObserver> MineObserver for (A, B) {
+    fn wants_resources(&self) -> bool {
+        self.0.wants_resources() || self.1.wants_resources()
+    }
     fn on_seed(&mut self, event: &SeedEvent) {
         self.0.on_seed(event);
         self.1.on_seed(event);
@@ -533,6 +622,9 @@ impl<A: MineObserver, B: MineObserver> MineObserver for (A, B) {
 }
 
 impl<O: MineObserver> MineObserver for Option<O> {
+    fn wants_resources(&self) -> bool {
+        self.as_ref().is_some_and(O::wants_resources)
+    }
     fn on_seed(&mut self, event: &SeedEvent) {
         if let Some(o) = self {
             o.on_seed(event);
@@ -663,16 +755,26 @@ impl<W: io::Write> JsonlObserver<W> {
 }
 
 impl<W: io::Write> MineObserver for JsonlObserver<W> {
+    fn wants_resources(&self) -> bool {
+        true
+    }
+
     fn on_seed(&mut self, e: &SeedEvent) {
         self.write_line(&format!(
-            "{{\"event\": \"seed\", \"level\": {}, \"patterns\": {}, \"pil_entries\": {}, \"arena_bytes\": {}, \"elapsed_ms\": {:.3}}}",
-            e.level, e.patterns, e.pil_entries, e.arena_bytes, ms(e.elapsed)
+            "{{\"event\": \"seed\", \"level\": {}, \"patterns\": {}, \"pil_entries\": {}, \"arena_bytes\": {}, \"minflt\": {}, \"sys_ms\": {:.3}, \"elapsed_ms\": {:.3}}}",
+            e.level,
+            e.patterns,
+            e.pil_entries,
+            e.arena_bytes,
+            e.minflt,
+            ms(e.sys),
+            ms(e.elapsed)
         ));
     }
 
     fn on_level(&mut self, e: &LevelEvent) {
         self.write_line(&format!(
-            "{{\"event\": \"level\", \"level\": {}, \"candidates\": {}, \"evaluated\": {}, \"frequent\": {}, \"kept\": {}, \"pruned_bound\": {}, \"pruned_support\": {}, \"arena_bytes\": {}, \"joins\": {}, \"probed\": {}, \"reallocs\": {}, \"bytes_moved\": {}, \"join_ms\": {:.3}, \"elapsed_ms\": {:.3}, \"saturated\": {}}}",
+            "{{\"event\": \"level\", \"level\": {}, \"candidates\": {}, \"evaluated\": {}, \"frequent\": {}, \"kept\": {}, \"pruned_bound\": {}, \"pruned_support\": {}, \"arena_bytes\": {}, \"joins\": {}, \"probed\": {}, \"reallocs\": {}, \"bytes_moved\": {}, \"minflt\": {}, \"sys_ms\": {:.3}, \"join_ms\": {:.3}, \"elapsed_ms\": {:.3}, \"saturated\": {}}}",
             e.level,
             e.candidates,
             e.evaluated,
@@ -685,6 +787,8 @@ impl<W: io::Write> MineObserver for JsonlObserver<W> {
             e.probed,
             e.reallocs,
             e.bytes_moved,
+            e.minflt,
+            ms(e.sys),
             ms(e.join_elapsed),
             ms(e.elapsed),
             e.saturated
@@ -908,11 +1012,13 @@ impl MetricsObserver {
         if let Some(s) = &self.seed {
             let _ = writeln!(
                 out,
-                "  seed: level {} | {} patterns | {} PIL entries | {} arena bytes | {:.3} ms",
+                "  seed: level {} | {} patterns | {} PIL entries | {} arena bytes | {} minflt | {:.0} sys_ms | {:.3} ms",
                 s.level,
                 s.patterns,
                 s.pil_entries,
                 s.arena_bytes,
+                s.minflt,
+                ms(s.sys),
                 ms(s.elapsed)
             );
         }
@@ -926,12 +1032,12 @@ impl MetricsObserver {
             );
         }
         out.push_str(
-            "  level | candidates | evaluated | frequent | kept | pruned_bound | pruned_support | joins | probed | reallocs | moved_bytes | join_ms | total_ms\n",
+            "  level | candidates | evaluated | frequent | kept | pruned_bound | pruned_support | joins | probed | reallocs | moved_bytes | minflt | sys_ms | join_ms | total_ms\n",
         );
         for l in &self.levels {
             let _ = writeln!(
                 out,
-                "  {:>5} | {:>10} | {:>9} | {:>8} | {:>4} | {:>12} | {:>14} | {:>5} | {:>6} | {:>8} | {:>11} | {:>7.3} | {:>8.3}{}",
+                "  {:>5} | {:>10} | {:>9} | {:>8} | {:>4} | {:>12} | {:>14} | {:>5} | {:>6} | {:>8} | {:>11} | {:>6} | {:>6.0} | {:>7.3} | {:>8.3}{}",
                 l.level,
                 l.candidates,
                 l.evaluated,
@@ -943,6 +1049,8 @@ impl MetricsObserver {
                 l.probed,
                 l.reallocs,
                 l.bytes_moved,
+                l.minflt,
+                ms(l.sys),
                 ms(l.join_elapsed),
                 ms(l.elapsed),
                 if l.saturated { "  [saturated]" } else { "" }
@@ -1080,6 +1188,9 @@ impl MetricsObserver {
 }
 
 impl MineObserver for MetricsObserver {
+    fn wants_resources(&self) -> bool {
+        true
+    }
     fn on_seed(&mut self, event: &SeedEvent) {
         self.seed = Some(event.clone());
     }
@@ -1406,6 +1517,22 @@ pub struct TraceReport {
     pub aborted: bool,
 }
 
+/// The optional resource fields of a seed or level event: `minflt` a
+/// non-negative integer, `sys_ms` a non-negative number. Traces written
+/// before the fields existed carry neither and still validate.
+fn check_resources(value: &Json, lineno: usize) -> Result<(), String> {
+    if let Some(v) = value.get("minflt") {
+        v.as_u128()
+            .ok_or(format!("line {lineno}: minflt is not a count"))?;
+    }
+    if let Some(v) = value.get("sys_ms") {
+        v.as_f64()
+            .filter(|ms| *ms >= 0.0)
+            .ok_or(format!("line {lineno}: sys_ms is not a duration"))?;
+    }
+    Ok(())
+}
+
 /// Validate a JSONL trace against the schema: every line parses as an
 /// object with an `"event"` field; `level` events are strictly
 /// increasing in level; exactly one `summary` line exists, comes last,
@@ -1460,6 +1587,7 @@ pub fn validate_trace(text: &str) -> Result<TraceReport, String> {
                     .get("candidates")
                     .and_then(Json::as_u128)
                     .ok_or(format!("line {lineno}: level event without candidates"))?;
+                check_resources(&value, lineno)?;
             }
             "summary" => summary = Some((lineno, value)),
             "abort" => {
@@ -1479,8 +1607,8 @@ pub fn validate_trace(text: &str) -> Result<TraceReport, String> {
                     .and_then(Json::as_str)
                     .ok_or(format!("line {lineno}: warning event without message"))?;
             }
-            "seed" | "pool" | "subtree" | "em" | "repr" | "spill" | "restore" | "query"
-            | "diff" => {}
+            "seed" => check_resources(&value, lineno)?,
+            "pool" | "subtree" | "em" | "repr" | "spill" | "restore" | "query" | "diff" => {}
             other => return Err(format!("line {lineno}: unknown event {other:?}")),
         }
     }
@@ -1555,6 +1683,8 @@ mod tests {
             probed: 1200,
             reallocs: 3,
             bytes_moved: 768,
+            minflt: 42,
+            sys: Duration::from_millis(10),
             join_elapsed: Duration::from_micros(500),
             elapsed: Duration::from_millis(1),
             saturated: false,
@@ -1601,6 +1731,8 @@ mod tests {
             patterns: 64,
             pil_entries: 1000,
             arena_bytes: 16_192,
+            minflt: 7,
+            sys: Duration::ZERO,
             elapsed: Duration::from_millis(2),
         });
         sink.on_level(&level_event(3));
@@ -1774,6 +1906,46 @@ mod tests {
         let text = String::from_utf8(sink.finish().unwrap()).unwrap();
         let err = validate_trace(&text).unwrap_err();
         assert!(err.contains("frequent"), "{err}");
+    }
+
+    #[test]
+    fn validator_type_checks_resource_fields() {
+        let summary =
+            "{\"event\": \"summary\", \"frequent\": 10, \"levels\": 1, \"total_candidates\": 64}";
+        let level = |extra: &str| {
+            format!(
+                "{{\"event\": \"level\", \"level\": 3, \"candidates\": 64, \"frequent\": 10{extra}}}\n{summary}\n"
+            )
+        };
+        // Absent (older traces) and well-formed fields both validate.
+        validate_trace(&level("")).unwrap();
+        validate_trace(&level(", \"minflt\": 12, \"sys_ms\": 0.5")).unwrap();
+        let err = validate_trace(&level(", \"minflt\": -1")).unwrap_err();
+        assert!(err.contains("minflt"), "{err}");
+        let err = validate_trace(&level(", \"sys_ms\": \"slow\"")).unwrap_err();
+        assert!(err.contains("sys_ms"), "{err}");
+        let seed = format!("{{\"event\": \"seed\", \"minflt\": 1.5}}\n{}", level(""));
+        assert!(validate_trace(&seed).unwrap_err().contains("minflt"));
+    }
+
+    #[test]
+    fn resource_meter_reads_only_when_wanted() {
+        // Counters are cumulative, so a later read never goes back.
+        let a = ProcCounters::read().expect("/proc/self/stat is readable on Linux");
+        let _touch: Vec<u8> = vec![1; 1 << 20];
+        let b = ProcCounters::read().unwrap();
+        assert!(b.minflt >= a.minflt && b.sys >= a.sys);
+        // NoopObserver never asks: every lap is zero.
+        let mut off = ResourceMeter::start(&NoopObserver);
+        assert!(off.last.is_none());
+        assert_eq!(off.lap(), (0, Duration::ZERO));
+        // The metrics sink asks, and composed observers ask if any half does.
+        assert!(MetricsObserver::new().wants_resources());
+        assert!((NoopObserver, Some(MetricsObserver::new())).wants_resources());
+        assert!(!(NoopObserver, None::<MetricsObserver>).wants_resources());
+        let mut on = ResourceMeter::start(&MetricsObserver::new());
+        assert!(on.last.is_some());
+        let _ = on.lap();
     }
 
     #[test]

@@ -628,3 +628,100 @@ proptest! {
         }
     }
 }
+
+/// Level-6 patterns the pooled-path differential wants carried into
+/// the join: at least the pool's threshold (256 kept parents), and few
+/// enough that level 7 comes out smaller than level 6.
+const POOLED_KEPT: std::ops::RangeInclusive<usize> = 256..=1500;
+
+/// Bisect ρ (on a log scale) until level 6 keeps a [`POOLED_KEPT`]
+/// frontier. Kept counts only fall as ρ rises, and a cap at level 6
+/// stops each probe before the expensive join.
+fn rho_for_partial_level6(seq: &Sequence, gap: GapRequirement) -> Option<f64> {
+    let capped = MppConfig {
+        max_level: Some(6),
+        ..MppConfig::default()
+    };
+    let kept6 = |rho: f64| {
+        mpp(seq, gap, rho, 8, capped.clone())
+            .ok()
+            .and_then(|o| {
+                o.stats
+                    .levels
+                    .iter()
+                    .find(|l| l.level == 6)
+                    .map(|l| l.extended)
+            })
+            .unwrap_or(0)
+    };
+    let (mut lo, mut hi) = (1e-6f64.ln(), 1e-2f64.ln());
+    for _ in 0..20 {
+        let mid = (lo + hi) / 2.0;
+        let kept = kept6(mid.exp());
+        if POOLED_KEPT.contains(&kept) {
+            return Some(mid.exp());
+        }
+        if kept > *POOLED_KEPT.end() {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    None
+}
+
+// The pooled breadth-first path: DNA long enough that levels 4, 5 and
+// 6 each keep at least 256 parents, so the children at levels 5, 6 and
+// 7 are all generated through the worker pool — and level 7 is smaller
+// than level 6, so the recycled arenas of the dead level-5 parents hold
+// a shrinking generation. Patterns, supports, saturation and every
+// per-level counter must match serial `mpp` and the seed reference.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn pooled_levels_agree_with_serial_and_reference(
+        (seed, len, max_step, threads) in (any::<u64>(), 1_500usize..2_000, 3usize..=4, 2usize..=4)
+    ) {
+        use perigap::core::parallel::mpp_parallel_traced;
+        use perigap::core::trace::MetricsObserver;
+        use perigap::seq::gen::iid::uniform;
+        use rand::SeedableRng;
+
+        let seq = uniform(&mut rand::rngs::StdRng::seed_from_u64(seed), Alphabet::Dna, len);
+        let gap = GapRequirement::new(0, max_step).unwrap();
+        let rho = rho_for_partial_level6(&seq, gap);
+        prop_assert!(rho.is_some(), "no ρ keeps a partial level 6");
+        let rho = rho.unwrap();
+        let config = MppConfig::default();
+
+        let mut metrics = MetricsObserver::new();
+        let pooled =
+            mpp_parallel_traced(&seq, gap, rho, 8, config.clone(), threads, &mut metrics).unwrap();
+        let pool_levels: Vec<usize> = metrics.pool.iter().map(|p| p.level).collect();
+        for level in 5..=7 {
+            prop_assert!(pool_levels.contains(&level), "level {} not pooled: {:?}", level, pool_levels);
+        }
+        let at = |level: usize| pooled.stats.levels.iter().find(|l| l.level == level).unwrap();
+        prop_assert!(at(7).candidates < at(6).candidates, "level 7 must shrink");
+
+        let serial = mpp(&seq, gap, rho, 8, config.clone()).unwrap();
+        let reference = mpp_reference(&seq, gap, rho, 8, config, 1).unwrap();
+        for (other, label) in [(&serial, "mpp"), (&reference, "mpp_reference")] {
+            prop_assert_eq!(pooled.frequent.len(), other.frequent.len(), "{}", label);
+            for (a, b) in pooled.frequent.iter().zip(&other.frequent) {
+                prop_assert_eq!(&a.pattern, &b.pattern, "{}", label);
+                prop_assert_eq!(a.support, b.support, "{}", label);
+            }
+            prop_assert_eq!(pooled.stats.support_saturated, other.stats.support_saturated, "{}", label);
+            prop_assert_eq!(pooled.stats.levels.len(), other.stats.levels.len(), "{}", label);
+            for (x, y) in pooled.stats.levels.iter().zip(&other.stats.levels) {
+                prop_assert_eq!(
+                    (x.level, x.candidates, x.frequent, x.extended),
+                    (y.level, y.candidates, y.frequent, y.extended),
+                    "{}", label
+                );
+            }
+        }
+    }
+}
