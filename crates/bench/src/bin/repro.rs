@@ -3,7 +3,6 @@
 //! ```text
 //! repro <experiment> [--quick] [--adaptive]
 //! repro skew --trace <run.jsonl>
-//! repro pil-repr [--pil-repr auto|sparse|dense]
 //!
 //! experiments:
 //!   counts     Section 4.1 N_l table and the N_10 example
@@ -25,10 +24,9 @@
 //!   corpus     just the corpus_scale section of `bench` — sharded
 //!              mmap mining with a controlled mid-run kill and resume
 //!              — printed as its JSON fragment (not in `all`)
-//!   pil-repr   PIL layout section: occupancy kernel sweep + the
-//!              representation-invariance gate (not in `all`); the
-//!              optional --pil-repr MODE narrows the gate to
-//!              sparse-vs-MODE
+//!   pil-repr   PIL layout section: the occupancy sweep of the sparse
+//!              merge, the dense probe and the occupancy rule (not in
+//!              `all`)
 //!   skew       per-worker utilization table from a --trace JSONL file
 //!   all        everything above except `bench`/`skew`, in order
 //!
@@ -51,10 +49,7 @@ fn main() {
             .and_then(|i| args.get(i + 1))
             .map(String::as_str)
     };
-    let consumed_values: Vec<&str> = ["--trace", "--pil-repr"]
-        .iter()
-        .filter_map(|key| value_of(key))
-        .collect();
+    let consumed_values: Vec<&str> = value_of("--trace").into_iter().collect();
     let which = args
         .iter()
         .find(|a| !a.starts_with("--") && !consumed_values.contains(&a.as_str()))
@@ -110,15 +105,7 @@ fn main() {
             let fragment = experiments::bench_mining::corpus_scale(quick);
             println!("{fragment}");
         }
-        "pil-repr" => {
-            let forced = value_of("--pil-repr").map(|raw| {
-                raw.parse::<perigap_core::PilRepr>().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                })
-            });
-            experiments::pil_repr::run(quick, forced)
-        }
+        "pil-repr" => experiments::pil_repr::run(quick),
         "skew" => match value_of("--trace") {
             Some(path) => experiments::skew::run(path),
             None => {

@@ -20,21 +20,15 @@
 //! 5. **join kernel**: per-candidate [`Pil::join_checked`] calls vs the
 //!    batched multi-suffix walk ([`join_multi_into`]) over the same
 //!    shared-parent fan-out;
-//! 6. **simd kernel**: the AVX2 dense window probe
-//!    ([`perigap_core::kernel::join_dense_kernel`]) vs the scalar
-//!    prefix-sum probe over identical windowed [`DensePil`]s, and the
-//!    AVX2 level-3 seeding scan vs the scalar packed-key path —
-//!    outputs cross-checked before any timing is trusted (≥ 2×
-//!    required on AVX2 hardware);
-//! 7. **single thread**: the serial packed engine vs the seed
+//! 6. **single thread**: the serial packed engine vs the seed
 //!    reference at one thread on L = 50 000 (the ISSUE-6 parity row),
 //!    with per-level wall-clock from both so a late-level regression
 //!    is visible individually;
-//! 8. **query throughput**: the `pgmine serve` daemon over the mined
+//! 7. **query throughput**: the `pgmine serve` daemon over the mined
 //!    pattern set, hammered by 1 / 4 / 16 concurrent clients with a
 //!    mixed support/topk/prefix/overlap workload — queries/sec per
 //!    client count, every response checked `"ok": true`;
-//! 9. **top-k pruning**: `PruneMode::top_k(k)` vs a full mine +
+//! 8. **top-k pruning**: `PruneMode::top_k(k)` vs a full mine +
 //!    [`select_top_k`] post-filter at k ∈ {10, 100, 1000}, in both gap
 //!    regimes — the flexible acceptance gap `[0, 9]` (`W = 10`:
 //!    support is not anti-monotone, the floor gates emission only, so
@@ -43,14 +37,14 @@
 //!    k = 100 on the full-size run). Every pruned outcome is checked
 //!    bit-identical to the post-filter oracle before its timing is
 //!    trusted.
-//! 10. **incremental speedup**: `mine_incremental` re-mining after an
-//!     append of 0.1% / 1% / 10% of L under a rigid gap, against a cold
-//!     mine of the grown sequence (≥ 5× required at the 1% append on
-//!     the full-size run). The record is rewound to the base-sequence
-//!     state before every timed rep, and every incremental outcome is
-//!     checked bit-identical to the cold one before its timing is
-//!     trusted.
-//! 11. **corpus scale**: the mmap-backed sharded corpus miner
+//! 9. **incremental speedup**: `mine_incremental` re-mining after an
+//!    append of 0.1% / 1% / 10% of L under a rigid gap, against a cold
+//!    mine of the grown sequence (≥ 5× required at the 1% append on
+//!    the full-size run). The record is rewound to the base-sequence
+//!    state before every timed rep, and every incremental outcome is
+//!    checked bit-identical to the cold one before its timing is
+//!    trusted.
+//! 10. **corpus scale**: the mmap-backed sharded corpus miner
 //!     ([`perigap_core::corpus::mine_corpus`]) under a DFS arena
 //!     ceiling — cold wall-clock and peak RSS (`VmHWM`), then a
 //!     controlled kill at ~50% of shards followed by a `--resume`, with
@@ -64,11 +58,9 @@
 use super::timed;
 use crate::data::scaling_sequence;
 use perigap_core::dfs::{mpp_dfs, mpp_dfs_traced};
-use perigap_core::kernel::{join_dense_kernel, seed_level3, simd_available, ResolvedKernel};
 use perigap_core::mpp::{mpp, mpp_traced, MppConfig};
 use perigap_core::mppm::mppm_traced;
 use perigap_core::parallel::{mpp_parallel, mpp_parallel_traced};
-use perigap_core::pil::{join_dense_into, DensePil};
 use perigap_core::pil::{join_multi_into, JoinCounters, MultiJoinScratch, Pil};
 use perigap_core::reference::{build_all_reference, mpp_reference};
 use perigap_core::result::MineOutcome;
@@ -247,21 +239,19 @@ pub fn run(quick: bool) {
     let engine_comparison = engine_comparison(&e2e_seq, gap, reps);
     let spill = spill_overhead(&e2e_seq, gap, reps);
     let join_kernel = join_kernel(&e2e_seq, gap, if quick { 50 } else { 200 });
-    let simd_kernel = simd_kernel(&e2e_seq, gap, if quick { 20 } else { 100 });
     let single_thread = single_thread(if quick { 10_000 } else { 50_000 }, gap, reps);
     let query_throughput = query_throughput(gap, quick);
     let top_k_pruning = top_k_pruning(quick);
     let incremental_speedup = incremental_speedup(quick);
 
-    // The adaptive-layout section (ISSUE-4): occupancy kernel sweep,
-    // the representation-invariance gate with histogram, and the
+    // The PIL-layout section: the occupancy sweep of the sparse merge,
+    // the dense probe and the engines' occupancy rule, plus the
     // DFS-first mppm sweep over the Figure 4–8 axes.
     let pil_occupancy = super::pil_repr::occupancy_section(quick);
-    let pil_mining = super::pil_repr::mining_section(quick, None);
     let dfs_sweep = super::pil_repr::dfs_sweep(quick);
 
     let json = format!(
-        "{{\n  \"config\": {{\"alphabet\": \"DNA\", \"gap\": [{}, {}], \"rho\": {RHO}, \"n\": {N}, \"threads\": {THREADS}, \"quick\": {quick}}},\n  \"seeding_level3\": {{\"length\": {seed_len}, \"patterns\": {}, \"reference_ms\": {:.3}, \"packed_ms\": {:.3}, \"speedup\": {:.3}}},\n  \"end_to_end\": {end_to_end},\n  \"corpus_scale\": {corpus_scale},\n  \"matrix\": {},\n  \"engine_comparison\": {engine_comparison},\n  \"spill\": {spill},\n  \"join_kernel\": {join_kernel},\n  \"simd_kernel\": {simd_kernel},\n  \"single_thread\": {single_thread},\n  \"query_throughput\": {query_throughput},\n  \"top_k_pruning\": {top_k_pruning},\n  \"incremental_speedup\": {incremental_speedup},\n  \"pil_repr\": {{\"occupancy\": {pil_occupancy},\n    \"mining\": {pil_mining}}},\n  \"dfs_sweep\": {dfs_sweep},\n  \"pruning_power\": {}\n}}\n",
+        "{{\n  \"config\": {{\"alphabet\": \"DNA\", \"gap\": [{}, {}], \"rho\": {RHO}, \"n\": {N}, \"threads\": {THREADS}, \"quick\": {quick}}},\n  \"seeding_level3\": {{\"length\": {seed_len}, \"patterns\": {}, \"reference_ms\": {:.3}, \"packed_ms\": {:.3}, \"speedup\": {:.3}}},\n  \"end_to_end\": {end_to_end},\n  \"corpus_scale\": {corpus_scale},\n  \"matrix\": {},\n  \"engine_comparison\": {engine_comparison},\n  \"spill\": {spill},\n  \"join_kernel\": {join_kernel},\n  \"single_thread\": {single_thread},\n  \"query_throughput\": {query_throughput},\n  \"top_k_pruning\": {top_k_pruning},\n  \"incremental_speedup\": {incremental_speedup},\n  \"pil_repr\": {{\"occupancy\": {pil_occupancy}}},\n  \"dfs_sweep\": {dfs_sweep},\n  \"pruning_power\": {}\n}}\n",
         GAP.0,
         GAP.1,
         packed_pils.len(),
@@ -737,159 +727,6 @@ fn join_kernel(seq: &perigap_seq::Sequence, gap: GapRequirement, rounds: usize) 
     )
 }
 
-/// The SIMD kernel section: the AVX2 dense window probe vs the scalar
-/// prefix-sum probe over the same pre-built windowed [`DensePil`]s (the
-/// level-3 fan-out of `seq`), and the AVX2 level-3 seeding scan vs the
-/// scalar packed-key path. Both halves cross-check outputs before any
-/// timing is trusted; without AVX2 (or under `PERIGAP_FORCE_SCALAR`)
-/// the "simd" timings measure the fallback and `simd_available` in the
-/// fragment says so. Returns the JSON fragment.
-fn simd_kernel(seq: &perigap_seq::Sequence, gap: GapRequirement, rounds: usize) -> String {
-    use std::collections::HashMap;
-    let available = simd_available();
-    println!(
-        "bench: simd kernel, L = {}, avx2 {}",
-        seq.len(),
-        if available { "yes" } else { "NO (fallback)" }
-    );
-
-    // The same shared-parent fan-out as `join_kernel`, with every
-    // suffix lifted into the windowed dense layout the SIMD probe
-    // wants. Builds happen here, outside the timed region.
-    let pils: Vec<(Vec<u8>, Pil)> = {
-        let mut v: Vec<_> = Pil::build_all(seq, gap, 3)
-            .into_iter()
-            .map(|(p, pil)| (p.codes().to_vec(), pil))
-            .collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
-    };
-    let dense: Vec<DensePil> = pils
-        .iter()
-        .map(|(_, pil)| DensePil::build_windowed(pil.entries(), gap).expect("bench counts fit u64"))
-        .collect();
-    let by_prefix: HashMap<&[u8], Vec<usize>> = {
-        let mut m: HashMap<&[u8], Vec<usize>> = HashMap::new();
-        for (i, (codes, _)) in pils.iter().enumerate() {
-            m.entry(&codes[..2]).or_default().push(i);
-        }
-        m
-    };
-    let fan_outs: Vec<(usize, Vec<usize>)> = pils
-        .iter()
-        .enumerate()
-        .filter_map(|(i, (codes, _))| {
-            by_prefix
-                .get(&codes[1..])
-                .map(|partners| (i, partners.clone()))
-        })
-        .collect();
-    let candidates: usize = fan_outs.iter().map(|(_, p)| p.len()).sum();
-
-    // Cross-check first: the vector probe must be bit-identical to the
-    // scalar one over every candidate in the fan-out.
-    let mut jc = JoinCounters::default();
-    let mut scalar_out = Vec::new();
-    let mut simd_out = Vec::new();
-    for (i, partners) in &fan_outs {
-        for &j in partners {
-            scalar_out.clear();
-            simd_out.clear();
-            join_dense_into(
-                pils[*i].1.entries(),
-                &dense[j],
-                gap,
-                &mut scalar_out,
-                &mut jc,
-            );
-            join_dense_kernel(
-                ResolvedKernel::Simd,
-                pils[*i].1.entries(),
-                &dense[j],
-                gap,
-                &mut simd_out,
-                &mut jc,
-            );
-            assert_eq!(scalar_out, simd_out, "dense probe kernels disagree");
-        }
-    }
-
-    let (_, probe_scalar) = timed(|| {
-        for _ in 0..rounds {
-            for (i, partners) in &fan_outs {
-                for &j in partners {
-                    scalar_out.clear();
-                    join_dense_into(
-                        pils[*i].1.entries(),
-                        &dense[j],
-                        gap,
-                        &mut scalar_out,
-                        &mut jc,
-                    );
-                    std::hint::black_box(&scalar_out);
-                }
-            }
-        }
-    });
-    let (_, probe_simd) = timed(|| {
-        for _ in 0..rounds {
-            for (i, partners) in &fan_outs {
-                for &j in partners {
-                    simd_out.clear();
-                    join_dense_kernel(
-                        ResolvedKernel::Simd,
-                        pils[*i].1.entries(),
-                        &dense[j],
-                        gap,
-                        &mut simd_out,
-                        &mut jc,
-                    );
-                    std::hint::black_box(&simd_out);
-                }
-            }
-        }
-    });
-    let probe_speedup = probe_scalar.as_secs_f64() / probe_simd.as_secs_f64();
-    println!(
-        "  dense probe {candidates} candidates x {rounds} rounds: scalar {:.1} ms | simd {:.1} ms | speedup {:.2}x",
-        ms(probe_scalar),
-        ms(probe_simd),
-        probe_speedup
-    );
-
-    // Level-3 seeding: the whole seed build, scalar vs vector scan.
-    // `seed_level3` returns (patterns, total PIL entries); both kernels
-    // must agree exactly.
-    let reps = 3;
-    let (scalar_counts, seed_scalar) =
-        best_of(reps, || seed_level3(seq, gap, ResolvedKernel::Scalar));
-    let (simd_counts, seed_simd) = best_of(reps, || seed_level3(seq, gap, ResolvedKernel::Simd));
-    assert_eq!(scalar_counts, simd_counts, "seeding kernels disagree");
-    let seed_speedup = seed_scalar.as_secs_f64() / seed_simd.as_secs_f64();
-    println!(
-        "  level-3 seeding {} patterns / {} entries: scalar {:.1} ms | simd {:.1} ms | speedup {:.2}x",
-        scalar_counts.0,
-        scalar_counts.1,
-        ms(seed_scalar),
-        ms(seed_simd),
-        seed_speedup
-    );
-
-    format!(
-        "{{\"length\": {}, \"simd_available\": {available}, \"dense_probe\": {{\"parents\": {}, \"candidates\": {candidates}, \"rounds\": {rounds}, \"scalar_ms\": {:.3}, \"simd_ms\": {:.3}, \"speedup\": {:.3}}}, \"seeding_level3\": {{\"patterns\": {}, \"pil_entries\": {}, \"scalar_ms\": {:.3}, \"simd_ms\": {:.3}, \"speedup\": {:.3}}}}}",
-        seq.len(),
-        fan_outs.len(),
-        ms(probe_scalar),
-        ms(probe_simd),
-        probe_speedup,
-        scalar_counts.0,
-        scalar_counts.1,
-        ms(seed_scalar),
-        ms(seed_simd),
-        seed_speedup
-    )
-}
-
 /// Single-thread end-to-end parity (the ISSUE-6 acceptance row): the
 /// serial packed engine vs the seed reference at one thread, with
 /// per-level wall-clock from both runs so a late-level regression is
@@ -1338,16 +1175,6 @@ mod tests {
         let json = join_kernel(&seq, gap, 2);
         assert!(json.contains("\"speedup\""), "{json}");
         assert!(json.contains("\"candidates\""), "{json}");
-    }
-
-    #[test]
-    fn simd_kernel_fragment_cross_checks() {
-        let seq = scaling_sequence(2_000);
-        let gap = GapRequirement::new(0, 2).unwrap();
-        let json = simd_kernel(&seq, gap, 2);
-        assert!(json.contains("\"dense_probe\""), "{json}");
-        assert!(json.contains("\"seeding_level3\""), "{json}");
-        assert!(json.contains("\"simd_available\""), "{json}");
     }
 
     #[test]

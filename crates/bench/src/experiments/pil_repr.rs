@@ -1,23 +1,18 @@
 //! `pil-repr` — the adaptive dense/sparse PIL layout section.
 //!
-//! Three measurements (the first two also feed the `pil_repr` section
-//! of `BENCH_mining.json`; the third feeds `dfs_sweep`):
+//! Two measurements (the first feeds the `pil_repr` section of
+//! `BENCH_mining.json`, the second `dfs_sweep`):
 //!
 //! 1. **occupancy kernel sweep**: one suffix list at a controlled
 //!    occupancy (entries / occupied span) of 1%, 10%, 50% and 90%,
 //!    joined by eight prefix lists under the sparse sliding-window
-//!    merge, the dense prefix-sum probe, and the `Auto` policy
-//!    dispatch. The dense build is paid once per generation and
+//!    merge, the dense prefix-sum probe, and the engines' occupancy
+//!    rule (`auto`). The dense build is paid once per generation and
 //!    amortised over the eight prefixes, exactly as [`ReprCache`]
 //!    reuses it inside the engines. This is where the acceptance bars
 //!    live: `auto` must ride the dense kernel at ≥ 50% occupancy and
 //!    stay within noise of sparse at ≤ 5%.
-//! 2. **mining invariance + histogram**: a full `mpp_parallel` run per
-//!    `--pil-repr` mode with the chosen-representation histogram (the
-//!    process-wide counter delta) and a **hard assert** that the
-//!    frequent set and every stats counter are identical across modes
-//!    — the CI representation-invariance gate.
-//! 3. **DFS-first mppm sweep** (ROADMAP): `mppm` vs `mppm_dfs` across
+//! 2. **DFS-first mppm sweep** (ROADMAP): `mppm` vs `mppm_dfs` across
 //!    the Figure 4–8 axes (ρs, n, W, N, L), wall-clock plus the
 //!    deterministic peak live-arena bytes, recording the memory/time
 //!    trade-off of depth-first mining under the λ′ bound.
@@ -25,23 +20,20 @@
 use super::{paper, pct, timed_median};
 use crate::data::{ax_fragment, scaling_sequence};
 use perigap_analysis::report::{seconds, TextTable};
-use perigap_core::adaptive::{repr_stats, ReprCache};
+use perigap_core::adaptive::ReprCache;
 use perigap_core::dfs::mpp_dfs_traced;
 use perigap_core::mppm::{mppm_dfs_traced, mppm_traced};
-use perigap_core::parallel::{mpp_parallel, mpp_parallel_traced};
+use perigap_core::parallel::mpp_parallel_traced;
 use perigap_core::pil::{
     join_dense_into, join_multi_into, DensePil, JoinCounters, MultiJoinScratch,
 };
 use perigap_core::trace::MetricsObserver;
-use perigap_core::{GapRequirement, MineOutcome, PilRepr, ReprPolicy};
+use perigap_core::{GapRequirement, MineOutcome};
 use std::fmt::Write as _;
 use std::time::Duration;
 
-/// The ISSUE-1/3 acceptance mining configuration (matches `bench`).
+/// The acceptance gap (matches `bench`).
 const GAP: (usize, usize) = (0, 9);
-const RHO: f64 = 0.003e-2;
-const N: usize = 8;
-const THREADS: usize = 8;
 /// Threads for the BFS-vs-DFS sweep (the ISSUE-3 acceptance config).
 const ENGINE_THREADS: usize = 4;
 
@@ -92,7 +84,6 @@ pub fn occupancy_section(quick: bool) -> String {
         GAP.0, GAP.1
     );
 
-    let policy = ReprPolicy::default();
     let mut rows = Vec::new();
     for &occ in &[0.01, 0.10, 0.50, 0.90] {
         let suffix = occupancy_entries(span, occ, 11);
@@ -140,7 +131,9 @@ pub fn occupancy_section(quick: bool) -> String {
         // path — the same partition-then-phase structure the engines
         // use, so the sparse branch is the sparse loop plus exactly
         // one occupancy test per generation.
-        let mut cache = ReprCache::new(policy);
+        let mut cache = ReprCache::new();
+        cache.begin(1);
+        let auto_chose_dense = cache.decide(0, &suffix);
         let (_, auto) = timed_median(reps, || {
             for _ in 0..rounds {
                 cache.begin(1);
@@ -163,7 +156,7 @@ pub fn occupancy_section(quick: bool) -> String {
             occ_pct: occ * 100.0,
             entries: suffix.len(),
             span,
-            auto_chose_dense: policy.wants_dense(&suffix),
+            auto_chose_dense,
             sparse,
             dense,
             auto,
@@ -237,105 +230,6 @@ pub fn occupancy_section(quick: bool) -> String {
         );
     }
     s.push(']');
-    s
-}
-
-/// Assert that two mining outcomes are bit-identical in everything the
-/// representation choice must not affect: the frequent set and every
-/// stats counter (wall-clock fields excepted).
-fn assert_outcomes_identical(reference: &MineOutcome, other: &MineOutcome, label: &str) {
-    assert_eq!(
-        reference.frequent, other.frequent,
-        "{label}: frequent sets differ from the sparse reference"
-    );
-    assert_eq!(
-        reference.stats.n_used, other.stats.n_used,
-        "{label}: n_used"
-    );
-    assert_eq!(reference.stats.em, other.stats.em, "{label}: em");
-    assert_eq!(
-        reference.stats.support_saturated, other.stats.support_saturated,
-        "{label}: support_saturated"
-    );
-    assert_eq!(
-        reference.stats.levels.len(),
-        other.stats.levels.len(),
-        "{label}: level count"
-    );
-    for (a, b) in reference.stats.levels.iter().zip(&other.stats.levels) {
-        assert!(
-            a.level == b.level
-                && a.candidates == b.candidates
-                && a.frequent == b.frequent
-                && a.extended == b.extended,
-            "{label}: level {} counters differ",
-            a.level
-        );
-    }
-}
-
-/// The mining invariance + histogram section. Runs `mpp_parallel` once
-/// per representation mode (always including the sparse reference),
-/// hard-asserts outcome identity, and reports the chosen-representation
-/// histogram from the process counters. Returns the JSON fragment for
-/// the `pil_repr.mining` object.
-pub fn mining_section(quick: bool, forced: Option<PilRepr>) -> String {
-    let gap = GapRequirement::new(GAP.0, GAP.1).expect("static gap");
-    let len = if quick { 5_000 } else { 50_000 };
-    let seq = scaling_sequence(len);
-    let modes: Vec<PilRepr> = match forced {
-        Some(PilRepr::Sparse) | None => vec![PilRepr::Sparse, PilRepr::Dense, PilRepr::Auto],
-        Some(m) => vec![PilRepr::Sparse, m],
-    };
-    println!(
-        "pil-repr: mining invariance, {THREADS} threads, L = {len}, rho = {RHO}, modes {:?}",
-        modes.iter().map(PilRepr::to_string).collect::<Vec<_>>()
-    );
-
-    let mut reference: Option<MineOutcome> = None;
-    let mut table = TextTable::new(&["mode", "time (s)", "dense", "sparse", "fallbacks"]);
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"length\": {len}, \"threads\": {THREADS}, \"modes\": ["
-    );
-    for (i, &mode) in modes.iter().enumerate() {
-        let config = perigap_core::mpp::MppConfig {
-            pil_repr: ReprPolicy::of(mode),
-            ..Default::default()
-        };
-        let before = repr_stats();
-        let (outcome, wall) = timed_median(1, || {
-            mpp_parallel(&seq, gap, RHO, N, config.clone(), THREADS).expect("mining runs")
-        });
-        let hist = repr_stats().since(before);
-        match &reference {
-            None => reference = Some(outcome),
-            Some(r) => assert_outcomes_identical(r, &outcome, &format!("--pil-repr {mode}")),
-        }
-        table.row(&[
-            mode.to_string(),
-            seconds(wall),
-            hist.dense.to_string(),
-            hist.sparse.to_string(),
-            hist.fallbacks.to_string(),
-        ]);
-        if i > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(
-            s,
-            "{{\"mode\": \"{mode}\", \"wall_ms\": {:.3}, \"dense\": {}, \"sparse\": {}, \"fallbacks\": {}}}",
-            ms(wall),
-            hist.dense,
-            hist.sparse,
-            hist.fallbacks
-        );
-    }
-    let frequent = reference.as_ref().map_or(0, |r| r.frequent.len());
-    let _ = write!(s, "], \"frequent\": {frequent}, \"invariant\": true}}");
-    print!("{}", table.render());
-    println!("  invariance: frequent set + stats counters identical across all modes ({frequent} patterns)");
     s
 }
 
@@ -602,14 +496,11 @@ pub fn dfs_sweep(quick: bool) -> String {
     format!("[{}]", axes.join(", "))
 }
 
-/// Standalone entry point for `repro pil-repr [--pil-repr MODE]`: the
-/// occupancy kernel sweep plus the mining invariance gate. The JSON
-/// fragments are discarded here; `repro bench` embeds them in
-/// `BENCH_mining.json`.
-pub fn run(quick: bool, forced: Option<PilRepr>) {
+/// Standalone entry point for `repro pil-repr`: the occupancy kernel
+/// sweep. The JSON fragment is discarded here; `repro bench` embeds it
+/// in `BENCH_mining.json`.
+pub fn run(quick: bool) {
     let _ = occupancy_section(quick);
-    println!();
-    let _ = mining_section(quick, forced);
 }
 
 #[cfg(test)]
@@ -634,15 +525,6 @@ mod tests {
         assert!(json.contains("\"occupancy_pct\": 90"), "{json}");
         assert!(json.contains("\"auto_chose_dense\": true"), "{json}");
         assert!(json.contains("\"auto_chose_dense\": false"), "{json}");
-    }
-
-    #[test]
-    fn mining_section_holds_invariance() {
-        let json = mining_section(true, None);
-        assert!(json.contains("\"invariant\": true"), "{json}");
-        assert!(json.contains("\"mode\": \"sparse\""), "{json}");
-        assert!(json.contains("\"mode\": \"dense\""), "{json}");
-        assert!(json.contains("\"mode\": \"auto\""), "{json}");
     }
 
     #[test]

@@ -14,14 +14,13 @@
 //! approach further"); MPPm remains the sound way to choose `n`.
 //!
 //! This module is also home to the engines' other adaptive choice: the
-//! per-list PIL *representation* policy ([`PilRepr`], [`ReprPolicy`],
-//! [`ReprCache`]) that decides, from occupancy, whether a suffix's
-//! occurrence list is joined through the sparse sliding-window merge or
-//! the dense prefix-sum probe of [`crate::pil::DensePil`].
+//! per-list PIL *representation* rule ([`ReprCache`]) that decides,
+//! from occupancy, whether a suffix's occurrence list is joined through
+//! the sparse sliding-window merge or the dense prefix-sum probe of
+//! [`crate::pil::DensePil`].
 
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::kernel::ResolvedKernel;
 use crate::mpp::{mpp, MppConfig};
 use crate::pil::DensePil;
 use crate::result::MineOutcome;
@@ -81,108 +80,31 @@ pub fn adaptive_mpp(
 // Adaptive PIL representation (sparse merge vs dense prefix-sum probe).
 // ---------------------------------------------------------------------
 
-/// Which physical PIL layout the join kernels use — see the two-layout
-/// notes in [`crate::pil`]. Parsed from `--pil-repr` on the CLI.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PilRepr {
-    /// Pick per suffix list from occupancy (the default).
-    #[default]
-    Auto,
-    /// Always the sorted sparse `(offset, count)` merge.
-    Sparse,
-    /// Dense prefix-sum probes wherever a dense array is feasible.
-    Dense,
-}
+/// Densify a list when at least this fraction of its occupied offset
+/// span holds an entry. Below it, the prefix-sum array spends more
+/// memory traffic on empty slots than the O(1) probe saves over the
+/// sliding-window merge.
+const CROSSOVER: f64 = 0.25;
 
-impl std::str::FromStr for PilRepr {
-    type Err = String;
-    fn from_str(s: &str) -> Result<PilRepr, String> {
-        match s {
-            "auto" => Ok(PilRepr::Auto),
-            "sparse" => Ok(PilRepr::Sparse),
-            "dense" => Ok(PilRepr::Dense),
-            other => Err(format!(
-                "unknown PIL representation {other:?} (auto|sparse|dense)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for PilRepr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            PilRepr::Auto => "auto",
-            PilRepr::Sparse => "sparse",
-            PilRepr::Dense => "dense",
-        })
-    }
-}
-
-/// `Auto` crossover: densify a list when at least this fraction of its
-/// occupied offset span holds an entry. Below it, the prefix-sum array
-/// spends more memory traffic on empty slots than the O(1) probe saves
-/// over the sliding-window merge.
-pub const DEFAULT_CROSSOVER: f64 = 0.25;
-
-/// Ceiling on span / entries honored even under forced `Dense`: beyond
-/// it the prefix-sum array would allocate more than this many words per
-/// sparse entry, so the decision falls back to sparse.
-pub const DEFAULT_MAX_BLOWUP: usize = 64;
-
-/// `Auto` never densifies lists shorter than this — the `O(span)` build
-/// cannot amortize over a handful of probes.
+/// Lists shorter than this never densify — the `O(span)` build cannot
+/// amortize over a handful of probes.
 const MIN_DENSE_LEN: usize = 8;
 
-/// The per-list representation decision: a mode plus the tunable
-/// occupancy crossover. Plain data (`Copy`), carried by
-/// [`crate::mpp::MppConfig`] into every engine.
+/// The occupancy rule: join `entries` through the dense prefix-sum
+/// probe when the list has at least [`MIN_DENSE_LEN`] entries covering
+/// at least [`CROSSOVER`] of its offset span. (Feasibility — the `u64`
+/// total-count check — still happens in [`DensePil::build`]; see
+/// [`ReprCache::decide`].)
 ///
-/// Representation choice is a pure performance knob: whichever side is
-/// picked, mined patterns, supports, and `MineStats` are bit-identical
-/// (see [`DensePil::build`] for why the saturation corner is covered).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ReprPolicy {
-    /// Forced mode, or `Auto` for the occupancy heuristic.
-    pub mode: PilRepr,
-    /// Minimum occupancy (entries / span) at which `Auto` goes dense.
-    pub crossover: f64,
-    /// Maximum span-per-entry blow-up tolerated even under `Dense`.
-    pub max_blowup: usize,
-}
-
-impl Default for ReprPolicy {
-    fn default() -> ReprPolicy {
-        ReprPolicy::of(PilRepr::Auto)
-    }
-}
-
-impl ReprPolicy {
-    /// The default crossover under the given mode.
-    pub fn of(mode: PilRepr) -> ReprPolicy {
-        ReprPolicy {
-            mode,
-            crossover: DEFAULT_CROSSOVER,
-            max_blowup: DEFAULT_MAX_BLOWUP,
-        }
-    }
-
-    /// Would this policy densify a list with these entries? (Feasibility
-    /// — the `u64` total-count check — still happens in
-    /// [`DensePil::build`]; see [`ReprCache::decide`].)
-    pub fn wants_dense(&self, entries: &[(u32, u64)]) -> bool {
-        let len = entries.len() as u64;
-        if len == 0 {
-            return false;
-        }
-        let span = entries[entries.len() - 1].0 as u64 - entries[0].0 as u64 + 1;
-        match self.mode {
-            PilRepr::Sparse => false,
-            PilRepr::Dense => span <= len.saturating_mul(self.max_blowup as u64),
-            PilRepr::Auto => {
-                entries.len() >= MIN_DENSE_LEN && len as f64 >= self.crossover * span as f64
-            }
-        }
-    }
+/// The choice is pure performance: whichever side is picked, mined
+/// patterns, supports, and `MineStats` are bit-identical (see
+/// [`DensePil::build`] for why the saturation corner is covered).
+fn wants_dense(entries: &[(u32, u64)]) -> bool {
+    let (Some(first), Some(last)) = (entries.first(), entries.last()) else {
+        return false;
+    };
+    let span = last.0 as u64 - first.0 as u64 + 1;
+    entries.len() >= MIN_DENSE_LEN && entries.len() as f64 >= CROSSOVER * span as f64
 }
 
 const TAG_UNDECIDED: u8 = 0;
@@ -210,19 +132,13 @@ const TAG_DENSE: u8 = 2;
 /// spare list that later builds write into
 /// ([`DensePil::build_reusing`]), so a worker stops allocating and
 /// faulting fresh arrays after its first few builds; the list never
-/// outgrows one partner group (≤ σ builds, two buffers each under
-/// SIMD). A level-scoped cache frees its builds instead: keeping a
-/// whole level's buffers would hold that much memory across levels.
+/// outgrows one partner group (≤ σ builds). A level-scoped cache frees
+/// its builds instead: keeping a whole level's buffers would hold that
+/// much memory across levels.
 /// The cache must be [`ReprCache::begin`]-reset whenever the indices
 /// start referring to a different generation.
+#[derive(Default)]
 pub struct ReprCache {
-    policy: ReprPolicy,
-    /// The resolved join kernel: under [`ResolvedKernel::Simd`] dense
-    /// builds also materialize the windowed-sum array for `gap` so the
-    /// vector probe has its gather target.
-    kern: ResolvedKernel,
-    /// The gap the windowed sums are precomputed for (SIMD only).
-    gap: Option<GapRequirement>,
     /// Decision per pattern index; `TAG_UNDECIDED` until first use.
     tags: Vec<u8>,
     /// Built prefix-sum arrays for the dense-tagged indices.
@@ -235,31 +151,9 @@ pub struct ReprCache {
 }
 
 impl ReprCache {
-    /// An empty cache carrying `policy`, building plain (scalar-probe)
-    /// dense arrays.
-    pub fn new(policy: ReprPolicy) -> ReprCache {
-        ReprCache::with_kernel(policy, ResolvedKernel::Scalar, None)
-    }
-
-    /// An empty cache whose dense builds match `kern`: the SIMD kernel
-    /// gets windowed-sum arrays for `gap`. The dense/sparse *decisions*
-    /// are identical across kernels — [`DensePil::build_windowed`]
-    /// succeeds exactly when [`DensePil::build`] does — so
-    /// representation choice stays kernel-invariant.
-    pub fn with_kernel(
-        policy: ReprPolicy,
-        kern: ResolvedKernel,
-        gap: Option<GapRequirement>,
-    ) -> ReprCache {
-        ReprCache {
-            policy,
-            kern,
-            gap,
-            tags: Vec::new(),
-            dense: HashMap::new(),
-            spare: Vec::new(),
-            per_parent: false,
-        }
+    /// An empty cache.
+    pub fn new() -> ReprCache {
+        ReprCache::default()
     }
 
     /// This cache, releasing its dense builds after every left parent
@@ -267,11 +161,6 @@ impl ReprCache {
     pub(crate) fn per_parent(mut self) -> ReprCache {
         self.per_parent = true;
         self
-    }
-
-    /// The policy this cache decides with.
-    pub fn policy(&self) -> ReprPolicy {
-        self.policy
     }
 
     /// Forget every decision and size for a generation of `patterns`
@@ -304,8 +193,8 @@ impl ReprCache {
 
     /// Decide (once) the representation for pattern `id`, whose PIL is
     /// `entries`; returns `true` for dense. The first call per `id`
-    /// consults the policy, attempts the dense build, and counts the
-    /// decision in the process-wide histogram; later calls are a tag
+    /// applies the occupancy rule, attempts the dense build, and counts
+    /// the decision in the process-wide histogram; later calls are a tag
     /// load.
     pub fn decide(&mut self, id: usize, entries: &[(u32, u64)]) -> bool {
         match self.tags[id] {
@@ -313,12 +202,8 @@ impl ReprCache {
             TAG_DENSE => true,
             _ => {
                 let mut built = None;
-                if self.policy.wants_dense(entries) {
-                    let windowed = match self.kern {
-                        ResolvedKernel::Simd => self.gap,
-                        ResolvedKernel::Scalar => None,
-                    };
-                    built = DensePil::build_reusing(entries, windowed, &mut self.spare);
+                if wants_dense(entries) {
+                    built = DensePil::build_reusing(entries, &mut self.spare);
                     if built.is_none() {
                         DENSE_FALLBACKS.fetch_add(1, Ordering::Relaxed);
                     }
@@ -371,7 +256,7 @@ pub struct ReprStats {
     pub dense: u64,
     /// Suffix lists joined through the sparse sliding-window merge.
     pub sparse: u64,
-    /// Lists the policy wanted dense but [`DensePil::build`] refused
+    /// Lists the occupancy rule wanted dense but [`DensePil::build`] refused
     /// (total count above `u64`); counted in `sparse` as well.
     pub fallbacks: u64,
 }
@@ -393,11 +278,9 @@ impl ReprStats {
         self.dense.saturating_add(self.sparse)
     }
 
-    /// Render this (delta) snapshot as the trace event for a run mined
-    /// under `mode`.
-    pub fn to_event(self, mode: PilRepr) -> crate::trace::ReprEvent {
+    /// Render this (delta) snapshot as the trace event for a run.
+    pub fn to_event(self) -> crate::trace::ReprEvent {
         crate::trace::ReprEvent {
-            mode: mode.to_string(),
             dense: self.dense,
             sparse: self.sparse,
             fallbacks: self.fallbacks,
@@ -462,34 +345,29 @@ mod tests {
 
     #[test]
     fn policy_crossover_splits_dense_from_sparse() {
-        let auto = ReprPolicy::default();
         // Fully occupied span, long enough: dense.
         let packed: Vec<(u32, u64)> = (1..=64).map(|x| (x, 1)).collect();
-        assert!(auto.wants_dense(&packed));
-        // 2% occupancy: sparse under Auto, dense only when forced.
+        assert!(wants_dense(&packed));
+        // 2% occupancy: sparse.
         let thin: Vec<(u32, u64)> = (0..64).map(|k| (1 + k * 50, 1)).collect();
-        assert!(!auto.wants_dense(&thin));
-        assert!(ReprPolicy::of(PilRepr::Dense).wants_dense(&thin));
-        assert!(!ReprPolicy::of(PilRepr::Sparse).wants_dense(&packed));
-        // Tiny lists never densify under Auto.
-        assert!(!auto.wants_dense(&[(1, 1), (2, 1)]));
-        assert!(!auto.wants_dense(&[]));
-        // Forced Dense still refuses pathological blow-up.
-        let lone: Vec<(u32, u64)> = vec![(1, 1), (1_000_000, 1)];
-        assert!(!ReprPolicy::of(PilRepr::Dense).wants_dense(&lone));
-        // Crossover is tunable.
-        let eager = ReprPolicy {
-            crossover: 0.005,
-            ..ReprPolicy::default()
+        assert!(!wants_dense(&thin));
+        // Eight entries over a span of 32 sit exactly on the crossover
+        // (dense); one slot wider falls under it (sparse).
+        let edge = |last: u32| -> Vec<(u32, u64)> {
+            (0..7).map(|k| (1 + k * 4, 1)).chain([(last, 1)]).collect()
         };
-        assert!(eager.wants_dense(&thin));
+        assert!(wants_dense(&edge(32)));
+        assert!(!wants_dense(&edge(33)));
+        // Tiny lists never densify.
+        assert!(!wants_dense(&[(1, 1), (2, 1)]));
+        assert!(!wants_dense(&[]));
     }
 
     #[test]
     fn cache_decides_once_and_resets_per_generation() {
         let packed: Vec<(u32, u64)> = (1..=64).map(|x| (x, 1)).collect();
         let before = repr_stats();
-        let mut cache = ReprCache::new(ReprPolicy::default());
+        let mut cache = ReprCache::new();
         cache.begin(2);
         assert!(cache.decide(0, &packed));
         assert!(cache.decide(0, &packed), "second call is a tag load");
@@ -503,21 +381,20 @@ mod tests {
         // begin() drops every decision and build.
         cache.begin(1);
         assert!(cache.get(0).is_none());
-        assert_eq!(cache.policy().mode, PilRepr::Auto);
     }
 
     #[test]
     fn parent_scope_releases_builds_and_reuses_their_buffers() {
         let packed: Vec<(u32, u64)> = (1..=64).map(|x| (x, 1)).collect();
         // Level scope: builds survive `end_parent` until `begin`.
-        let mut level = ReprCache::new(ReprPolicy::default());
+        let mut level = ReprCache::new();
         level.begin(2);
         assert!(level.decide(0, &packed));
         level.end_parent();
         assert!(level.get(0).is_some());
         // Parent scope: released at `end_parent`, buffer reused by the
         // next build, which matches a fresh one.
-        let mut parent = ReprCache::new(ReprPolicy::default()).per_parent();
+        let mut parent = ReprCache::new().per_parent();
         parent.begin(2);
         assert!(parent.decide(0, &packed));
         let buffer = parent.get(0).unwrap().psum().as_ptr();
@@ -533,32 +410,18 @@ mod tests {
 
     #[test]
     fn cache_counts_overflow_fallbacks() {
-        // A list the policy wants dense but whose total overflows u64:
+        // A list the occupancy rule wants dense but whose total overflows u64:
         // the decision must come back sparse and count a fallback.
         let hot: Vec<(u32, u64)> = (1..=8).map(|x| (x, u64::MAX / 4)).collect();
-        assert!(ReprPolicy::default().wants_dense(&hot));
+        assert!(wants_dense(&hot));
         let before = repr_stats();
-        let mut cache = ReprCache::new(ReprPolicy::default());
+        let mut cache = ReprCache::new();
         cache.begin(1);
         assert!(!cache.decide(0, &hot));
         assert!(cache.get(0).is_none());
         let delta = repr_stats().since(before);
         assert!(delta.fallbacks >= 1);
         assert!(delta.total() >= 1);
-    }
-
-    #[test]
-    fn pil_repr_parses_and_displays() {
-        for (text, mode) in [
-            ("auto", PilRepr::Auto),
-            ("sparse", PilRepr::Sparse),
-            ("dense", PilRepr::Dense),
-        ] {
-            assert_eq!(text.parse::<PilRepr>().unwrap(), mode);
-            assert_eq!(mode.to_string(), text);
-        }
-        assert!("densest".parse::<PilRepr>().is_err());
-        assert_eq!(PilRepr::default(), PilRepr::Auto);
     }
 
     #[test]

@@ -29,10 +29,11 @@
 
 use crate::adaptive::ReprCache;
 use crate::gap::GapRequirement;
-use crate::kernel::{self, ResolvedKernel};
 use crate::packed::KeyCodec;
 use crate::pattern::Pattern;
-use crate::pil::{join_into, join_multi_into, DensePil, JoinCounters, MultiJoinScratch, Pil};
+use crate::pil::{
+    join_dense_into, join_into, join_multi_into, DensePil, JoinCounters, MultiJoinScratch, Pil,
+};
 use crate::prune::Pruner;
 use perigap_seq::Sequence;
 use std::collections::HashMap;
@@ -239,8 +240,6 @@ impl PilSet {
     /// the suffix arrives as a pre-built [`DensePil`] (held per suffix
     /// by [`ReprCache`]), so the join is one O(1) probe per prefix
     /// offset and can never saturate (see [`DensePil::build`]).
-    /// `kern` picks the scalar or AVX2 probe — same output either way.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn push_candidate_dense(
         &mut self,
         p1_codes: &[u8],
@@ -248,14 +247,13 @@ impl PilSet {
         prefix: &[(u32, u64)],
         suffix: &DensePil,
         gap: GapRequirement,
-        kern: ResolvedKernel,
         counters: &mut JoinCounters,
     ) {
         debug_assert_eq!(p1_codes.len() + 1, self.level);
         self.codes.extend_from_slice(p1_codes);
         self.codes.push(last);
         let (start, arena) = self.tail();
-        kernel::join_dense_kernel(kern, prefix, suffix, gap, arena, counters);
+        join_dense_into(prefix, suffix, gap, arena, counters);
         self.close_span(start);
     }
 
@@ -377,26 +375,11 @@ impl PilSet {
 /// - key fits a `u64`: hash the packed key (still allocation-free per
 ///   event).
 /// - otherwise: hash the code string (the original pipeline's shape).
-pub(crate) fn build_seed(
-    seq: &Sequence,
-    gap: GapRequirement,
-    level: usize,
-    kern: ResolvedKernel,
-) -> PilSet {
+pub(crate) fn build_seed(seq: &Sequence, gap: GapRequirement, level: usize) -> PilSet {
     assert!(level >= 1, "level must be at least 1");
     let codec = KeyCodec::new(seq.alphabet().size());
     if codec.fits(level) {
         if codec.key_bits(level) <= DENSE_KEY_BITS_MAX {
-            // Level 3 (the engines' start level) has a vectorized scan;
-            // `build_seed_l3_simd` declines at runtime when AVX2 is
-            // unavailable and the recursive scalar scan takes over.
-            if level == 3 && kern == ResolvedKernel::Simd {
-                if let Some((slots, saturated)) =
-                    kernel::build_seed_l3_simd(seq, gap, codec, DENSE_KEY_BITS_MAX)
-                {
-                    return slots_to_set(&slots, level, codec, saturated);
-                }
-            }
             build_seed_dense(seq, gap, level, codec)
         } else {
             build_seed_sparse(seq, gap, level, codec)
@@ -434,20 +417,8 @@ fn build_seed_dense(seq: &Sequence, gap: GapRequirement, level: usize, codec: Ke
             saturated |= bump(&mut slots[key as usize], start as u32);
         });
     }
-    slots_to_set(&slots, level, codec, saturated)
-}
-
-/// Walk a dense key-indexed slot table into a sorted [`PilSet`].
-/// Ascending slot index == ascending packed key == lexicographic code
-/// order, so the set comes out sorted for free. Shared by the scalar
-/// scan and [`kernel::build_seed_l3_simd`], which both fill the same
-/// slot layout.
-fn slots_to_set(
-    slots: &[Vec<(u32, u64)>],
-    level: usize,
-    codec: KeyCodec,
-    saturated: bool,
-) -> PilSet {
+    // Ascending slot index == ascending packed key == lexicographic
+    // code order, so the set comes out sorted for free.
     let mut set = PilSet::new(level);
     let mut codes = Vec::with_capacity(level);
     for (key, entries) in slots.iter().enumerate() {
@@ -593,7 +564,7 @@ pub(crate) fn prefix_runs(set: &PilSet, kept: &[usize]) -> Vec<(usize, usize)> {
 /// Each left parent's partner run is a *sibling group*: the sparse
 /// subset shares one batched walk of the left PIL
 /// ([`join_multi_into`]), the dense subset takes the per-partner
-/// prefix-sum probe under `kern`, and candidates are emitted back in
+/// prefix-sum probe, and candidates are emitted back in
 /// partner order — so the output is byte-identical to the per-candidate
 /// path, saturation flags included.
 #[allow(clippy::too_many_arguments)]
@@ -606,7 +577,6 @@ pub(crate) fn generate_candidates(
     hi: usize,
     out: &mut PilSet,
     repr: &mut ReprCache,
-    kern: ResolvedKernel,
     counters: &mut JoinCounters,
     pruner: &Pruner,
 ) {
@@ -666,7 +636,7 @@ pub(crate) fn generate_candidates(
                     sp += 1;
                 } else {
                     let dense = repr.get(m).expect("decided dense");
-                    out.push_candidate_dense(p1, last, set.entries(i), dense, gap, kern, counters);
+                    out.push_candidate_dense(p1, last, set.entries(i), dense, gap, counters);
                 }
             }
             repr.end_parent();
@@ -677,7 +647,6 @@ pub(crate) fn generate_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::{PilRepr, ReprPolicy};
     use crate::naive::support_dp;
     use perigap_seq::Sequence;
 
@@ -685,19 +654,14 @@ mod tests {
         GapRequirement::new(n, m).unwrap()
     }
 
-    /// A fresh cache sized for `set`, under `mode`.
-    fn cache_for(set: &PilSet, mode: PilRepr) -> ReprCache {
-        let mut cache = ReprCache::new(ReprPolicy::of(mode));
+    /// A fresh cache sized for `set`.
+    fn cache_for(set: &PilSet) -> ReprCache {
+        let mut cache = ReprCache::new();
         cache.begin(set.len());
         cache
     }
 
-    /// `build_seed` pinned to the scalar kernel, as most tests want.
-    fn seed(s: &Sequence, g: GapRequirement, level: usize) -> PilSet {
-        build_seed(s, g, level, ResolvedKernel::Scalar)
-    }
-
-    /// `generate_candidates` with the scalar kernel and throwaway counters.
+    /// `generate_candidates` with throwaway counters.
     #[allow(clippy::too_many_arguments)]
     fn gen(
         set: &PilSet,
@@ -719,7 +683,6 @@ mod tests {
             hi,
             out,
             repr,
-            ResolvedKernel::Scalar,
             &mut jc,
             &Pruner::default(),
         );
@@ -734,7 +697,7 @@ mod tests {
         let s = dna("ACGTACGTTGCAACGT");
         let g = gap(1, 3);
         for level in 1..=3 {
-            let set = seed(&s, g, level);
+            let set = build_seed(&s, g, level);
             for i in 1..set.len() {
                 assert!(set.pattern_codes(i - 1) < set.pattern_codes(i), "sorted");
             }
@@ -752,7 +715,7 @@ mod tests {
         // the key width crosses the dense and u64 thresholds.
         let s = dna(&"ACGGTTA".repeat(30));
         let g = gap(0, 1);
-        let dense = seed(&s, g, 3); // 6 key bits
+        let dense = build_seed(&s, g, 3); // 6 key bits
         let sparse = build_seed_sparse(&s, g, 3, KeyCodec::new(4));
         let bytes = build_seed_bytes(&s, g, 3);
         assert_eq!(dense, sparse);
@@ -763,7 +726,7 @@ mod tests {
     fn paper_example_via_pilset() {
         // S = AACCGTT, gap [1,2]: PIL(ACT) = {(1,3),(2,2)}.
         let s = dna("AACCGTT");
-        let set = seed(&s, gap(1, 2), 3);
+        let set = build_seed(&s, gap(1, 2), 3);
         let act: Vec<u8> = vec![0, 1, 3];
         let i = (0..set.len())
             .find(|&i| set.pattern_codes(i) == act)
@@ -776,7 +739,7 @@ mod tests {
     #[test]
     fn runs_group_shared_prefixes() {
         let s = dna("ACGTACGTACGT");
-        let set = seed(&s, gap(0, 2), 2);
+        let set = build_seed(&s, gap(0, 2), 2);
         let kept: Vec<usize> = (0..set.len()).collect();
         let runs = prefix_runs(&set, &kept);
         // Every pattern is in exactly one run and runs tile `kept`.
@@ -797,11 +760,11 @@ mod tests {
     fn candidates_match_naive_generation() {
         let s = dna("ACGTTGCAACGTTACG");
         let g = gap(1, 2);
-        let set = seed(&s, g, 3);
+        let set = build_seed(&s, g, 3);
         let kept: Vec<usize> = (0..set.len()).collect();
         let runs = prefix_runs(&set, &kept);
         let mut out = PilSet::new(4);
-        let mut repr = cache_for(&set, PilRepr::Sparse);
+        let mut repr = cache_for(&set);
         gen(&set, &kept, &runs, g, 0, kept.len(), &mut out, &mut repr);
 
         // Naive: every ordered pair with suffix(p1) == prefix(p2).
@@ -835,23 +798,32 @@ mod tests {
 
     #[test]
     fn candidate_generation_is_representation_invariant() {
-        // The same generation through the sparse merge, the dense
-        // probe, and the occupancy policy must be byte-identical —
+        // Generation through the occupancy rule — dense probes for the
+        // well-filled suffix lists, batched sparse merges for the rest —
+        // must be byte-identical to one sparse join per candidate:
         // codes, entries, bounds, and the saturation flag.
-        let s = dna("ACGTTGCAACGTTACGGTCAACGT");
+        let s = dna(&"ACGTTGCAACGTTACGGTCAACGT".repeat(12));
         for g in [gap(0, 2), gap(1, 3), gap(2, 5)] {
-            let set = seed(&s, g, 3);
+            let set = build_seed(&s, g, 3);
             let kept: Vec<usize> = (0..set.len()).collect();
             let runs = prefix_runs(&set, &kept);
+            let mut out = PilSet::new(4);
+            let mut repr = cache_for(&set);
+            gen(&set, &kept, &runs, g, 0, kept.len(), &mut out, &mut repr);
+            let dense = (0..set.len()).filter(|&m| repr.get(m).is_some()).count();
+            assert!(dense > 0 && dense < set.len(), "both layouts under gap {g}");
             let mut sparse = PilSet::new(4);
-            let mut repr = cache_for(&set, PilRepr::Sparse);
-            gen(&set, &kept, &runs, g, 0, kept.len(), &mut sparse, &mut repr);
-            for mode in [PilRepr::Dense, PilRepr::Auto] {
-                let mut out = PilSet::new(4);
-                let mut repr = cache_for(&set, mode);
-                gen(&set, &kept, &runs, g, 0, kept.len(), &mut out, &mut repr);
-                assert_eq!(out, sparse, "mode {mode} under gap {g}");
+            let mut jc = JoinCounters::default();
+            for i in 0..set.len() {
+                for j in 0..set.len() {
+                    let (p1, p2) = (set.pattern_codes(i), set.pattern_codes(j));
+                    if p1[1..] == p2[..2] {
+                        let (a, b) = (set.entries(i), set.entries(j));
+                        sparse.push_candidate(p1, p2[2], a, b, g, &mut jc);
+                    }
+                }
             }
+            assert_eq!(out, sparse, "gap {g}");
         }
     }
 
@@ -859,19 +831,19 @@ mod tests {
     fn concat_preserves_chunked_generation() {
         let s = dna("ACGTTGCAACGTTACGGTCA");
         let g = gap(0, 2);
-        let set = seed(&s, g, 3);
+        let set = build_seed(&s, g, 3);
         let kept: Vec<usize> = (0..set.len()).collect();
         let runs = prefix_runs(&set, &kept);
         let mut whole = PilSet::new(4);
-        let mut repr = cache_for(&set, PilRepr::Auto);
+        let mut repr = cache_for(&set);
         gen(&set, &kept, &runs, g, 0, kept.len(), &mut whole, &mut repr);
         let mid = kept.len() / 2;
         let mut a = PilSet::new(4);
         let mut b = PilSet::new(4);
         // Chunked generation rebuilds the cache per chunk, as the
         // parallel engine does.
-        let mut repr_a = cache_for(&set, PilRepr::Auto);
-        let mut repr_b = cache_for(&set, PilRepr::Auto);
+        let mut repr_a = cache_for(&set);
+        let mut repr_b = cache_for(&set);
         gen(&set, &kept, &runs, g, 0, mid, &mut a, &mut repr_a);
         gen(&set, &kept, &runs, g, mid, kept.len(), &mut b, &mut repr_b);
         assert_eq!(PilSet::concat(4, [a, b]), whole);
@@ -882,7 +854,7 @@ mod tests {
     fn chunk_into(set: &PilSet, g: GapRequirement, lo: usize, hi: usize, out: &mut PilSet) {
         let kept: Vec<usize> = (0..set.len()).collect();
         let runs = prefix_runs(set, &kept);
-        let mut repr = cache_for(set, PilRepr::Auto);
+        let mut repr = cache_for(set);
         gen(set, &kept, &runs, g, lo, hi, out, &mut repr);
     }
 
@@ -890,7 +862,7 @@ mod tests {
     fn segmented_set_equals_its_contiguous_form() {
         let s = dna("ACGTTGCAACGTTACGGTCAAGTCCATGA");
         let g = gap(0, 3);
-        let set = seed(&s, g, 3);
+        let set = build_seed(&s, g, 3);
         let n = set.len();
         let mut whole = PilSet::new(4);
         chunk_into(&set, g, 0, n, &mut whole);
@@ -932,8 +904,8 @@ mod tests {
         // keep their allocation but none of their old entries.
         let s = dna(&"ACGTTGCAACGTTACGGTCA".repeat(6));
         let g = gap(0, 3);
-        let big = seed(&s, g, 4);
-        let small_parent = seed(&s, g, 3);
+        let big = build_seed(&s, g, 4);
+        let small_parent = build_seed(&s, g, 3);
         let mut fresh = PilSet::new(4);
         chunk_into(&small_parent, g, 0, 4, &mut fresh);
         assert!(fresh.entry_count() < big.entry_count());
@@ -983,13 +955,13 @@ mod tests {
         merged.reset(4);
         assert!(!merged.saturated());
         // An ordinary seed never saturates.
-        assert!(!seed(&dna("ACGTACGT"), g, 2).saturated());
+        assert!(!build_seed(&dna("ACGTACGT"), g, 2).saturated());
     }
 
     #[test]
     fn reset_reuses_buffers() {
         let s = dna("ACGTACGT");
-        let mut set = seed(&s, gap(0, 1), 2);
+        let mut set = build_seed(&s, gap(0, 1), 2);
         assert!(!set.is_empty());
         let cap = set.arenas[0].capacity();
         set.reset(3);
@@ -1002,23 +974,8 @@ mod tests {
     fn into_pil_map_round_trips() {
         let s = dna("AACCGTT");
         let g = gap(1, 2);
-        let map = seed(&s, g, 3).into_pil_map();
+        let map = build_seed(&s, g, 3).into_pil_map();
         let direct = Pil::build_all(&s, g, 3);
         assert_eq!(map, direct);
-    }
-
-    #[test]
-    fn seed_is_kernel_invariant() {
-        // The SIMD level-3 seeding scan must match the scalar table
-        // walk entry for entry. Without AVX2 (or under
-        // PERIGAP_FORCE_SCALAR) the Simd kernel falls back and the
-        // comparison is trivially true.
-        let s = dna(&"ACGTTGCAACGGTTACGTCA".repeat(17));
-        for g in [gap(0, 0), gap(0, 3), gap(1, 4), gap(3, 9)] {
-            let scalar = build_seed(&s, g, 3, ResolvedKernel::Scalar);
-            let simd = build_seed(&s, g, 3, ResolvedKernel::Simd);
-            assert_eq!(scalar, simd, "gap {g}");
-            assert_eq!(scalar.saturated(), simd.saturated());
-        }
     }
 }

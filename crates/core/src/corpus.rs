@@ -100,72 +100,91 @@ fn ckpt_err(record: u64, message: String) -> MineError {
 // Read-only file mapping
 // ---------------------------------------------------------------------
 
-/// A read-only `mmap` of a whole file, declared raw (no libc crate —
-/// the same idiom as the SIGINT shim in `perigap-serve`). The mapping
-/// is immutable and lives as long as the [`Corpus`], so sharing it
-/// across worker threads is sound.
+/// The read-only file mapping: the only `unsafe` code in this crate
+/// (`lib.rs` denies it everywhere else).
 #[cfg(unix)]
-struct Mapping {
-    ptr: *mut u8,
-    len: usize,
+#[allow(unsafe_code)]
+mod mapping {
+    use std::fs;
+
+    /// A read-only `mmap` of a whole file, declared raw (no libc crate —
+    /// the same idiom as the SIGINT shim in `perigap-serve`). The mapping
+    /// is immutable and lives as long as the [`super::Corpus`], so sharing it
+    /// across worker threads is sound.
+    pub(super) struct Mapping {
+        ptr: *mut u8,
+        len: usize,
+    }
+
+    // SAFETY: `ptr` and `len` describe one read-only mapping owned by
+    // this value and released only by its `Drop`; moving the owner to
+    // another thread moves nothing the mapping depends on.
+    unsafe impl Send for Mapping {}
+    // SAFETY: the pages are mapped `PROT_READ` and never written, so
+    // shared references on several threads only read immutable memory.
+    unsafe impl Sync for Mapping {}
+
+    impl Mapping {
+        pub(super) fn map(file: &fs::File, len: usize) -> Option<Mapping> {
+            use std::os::unix::io::AsRawFd;
+            extern "C" {
+                fn mmap(
+                    addr: *mut u8,
+                    len: usize,
+                    prot: i32,
+                    flags: i32,
+                    fd: i32,
+                    offset: i64,
+                ) -> *mut u8;
+            }
+            const PROT_READ: i32 = 1;
+            const MAP_PRIVATE: i32 = 2;
+            if len == 0 {
+                return None;
+            }
+            // SAFETY: a null address hint, a non-zero length and an open
+            // file descriptor; the result is checked for failure below
+            // before anything dereferences it.
+            let ptr = unsafe {
+                mmap(
+                    std::ptr::null_mut(),
+                    len,
+                    PROT_READ,
+                    MAP_PRIVATE,
+                    file.as_raw_fd(),
+                    0,
+                )
+            };
+            if ptr as isize == -1 || ptr.is_null() {
+                return None;
+            }
+            Some(Mapping { ptr, len })
+        }
+
+        pub(super) fn bytes(&self) -> &[u8] {
+            // SAFETY: `ptr` is a successful mapping of `len` readable
+            // bytes that stays mapped until `drop`, and nothing writes
+            // to it.
+            unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+        }
+    }
+
+    impl Drop for Mapping {
+        fn drop(&mut self) {
+            extern "C" {
+                fn munmap(addr: *mut u8, len: usize) -> i32;
+            }
+            // SAFETY: `ptr` and `len` are exactly the mapping `map`
+            // created, and it is unmapped once, here.
+            unsafe {
+                munmap(self.ptr, self.len);
+            }
+        }
+    }
 }
 
 #[cfg(unix)]
-unsafe impl Send for Mapping {}
-#[cfg(unix)]
-unsafe impl Sync for Mapping {}
-
-#[cfg(unix)]
-impl Mapping {
-    fn map(file: &fs::File, len: usize) -> Option<Mapping> {
-        use std::os::unix::io::AsRawFd;
-        extern "C" {
-            fn mmap(
-                addr: *mut u8,
-                len: usize,
-                prot: i32,
-                flags: i32,
-                fd: i32,
-                offset: i64,
-            ) -> *mut u8;
-        }
-        const PROT_READ: i32 = 1;
-        const MAP_PRIVATE: i32 = 2;
-        if len == 0 {
-            return None;
-        }
-        let ptr = unsafe {
-            mmap(
-                std::ptr::null_mut(),
-                len,
-                PROT_READ,
-                MAP_PRIVATE,
-                file.as_raw_fd(),
-                0,
-            )
-        };
-        if ptr as isize == -1 || ptr.is_null() {
-            return None;
-        }
-        Some(Mapping { ptr, len })
-    }
-
-    fn bytes(&self) -> &[u8] {
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-}
-
-#[cfg(unix)]
-impl Drop for Mapping {
-    fn drop(&mut self) {
-        extern "C" {
-            fn munmap(addr: *mut u8, len: usize) -> i32;
-        }
-        unsafe {
-            munmap(self.ptr, self.len);
-        }
-    }
-}
+use mapping::Mapping;
 
 /// Where the corpus bytes live: a shared kernel mapping (the zero-copy
 /// production path) or one heap buffer (the portable fallback and the
@@ -839,7 +858,7 @@ pub struct CorpusMineConfig {
     /// Per-shard engine.
     pub engine: ShardEngine,
     /// Per-shard engine configuration (`start_level`, arena ceiling,
-    /// PIL representation, kernel, spill). When the hybrid engine
+    /// spill). When the hybrid engine
     /// spills, each shard spills under its own subdirectory of
     /// [`MppConfig::spill_dir`].
     pub mpp: MppConfig,
@@ -1188,7 +1207,6 @@ pub fn mine_corpus_traced<O: MineObserver>(
         n_used: config.n,
         support_saturated: false,
         peak_arena_bytes: 0,
-        kernel: config.engine.name().to_string(),
         top_k: None,
         floor_raises: 0,
         pruned_by_floor: 0,

@@ -47,19 +47,18 @@
 //! time is the summed generation+evaluation time that *produced* it,
 //! and `arena_bytes` covers the surviving arenas only.
 
-use crate::adaptive::{ReprCache, ReprPolicy};
+use crate::adaptive::ReprCache;
 use crate::arena::{build_seed, prefix_runs, PilSet};
 use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::kernel::{self, ResolvedKernel};
 use crate::lambda::{BoundRow, BoundTable};
 use crate::mpp::{check_ceiling, prepare, MppConfig};
 use crate::parallel::{
     PoolHooks, PoolJob, WorkerPool, CHUNKS_PER_THREAD, MIN_CHUNK, PARALLEL_THRESHOLD,
 };
 use crate::pattern::Pattern;
-use crate::pil::{join_multi_into, JoinCounters, MultiJoinScratch};
+use crate::pil::{join_dense_into, join_multi_into, JoinCounters, MultiJoinScratch};
 use crate::prune::Pruner;
 use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
 use crate::spill::{self, SpillState};
@@ -104,10 +103,9 @@ pub fn mpp_dfs_traced<O: MineObserver>(
     let started = Instant::now();
     let repr_before = crate::adaptive::repr_stats();
     let (counts, rho_exact) = prepare(seq, gap, rho, &config)?;
-    let kern = config.kernel.resolve();
     let seed_started = Instant::now();
     let mut meter = ResourceMeter::start(observer);
-    let pils = build_seed(seq, gap, config.start_level, kern);
+    let pils = build_seed(seq, gap, config.start_level);
     let (minflt, sys) = meter.lap();
     observer.on_seed(&SeedEvent {
         level: config.start_level,
@@ -124,7 +122,6 @@ pub fn mpp_dfs_traced<O: MineObserver>(
         &rho_exact,
         n,
         &config,
-        kern,
         pils,
         threads,
         PoolHooks::default(),
@@ -141,16 +138,8 @@ pub fn mpp_dfs_traced<O: MineObserver>(
         }
     };
     outcome.stats.total_elapsed = started.elapsed();
-    observer.on_repr(
-        &crate::adaptive::repr_stats()
-            .since(repr_before)
-            .to_event(config.pil_repr.mode),
-    );
-    observer.on_complete(
-        &CompleteEvent::from_outcome(&outcome)
-            .with_peak_arena_bytes(peak)
-            .with_kernel(kern),
-    );
+    observer.on_repr(&crate::adaptive::repr_stats().since(repr_before).to_event());
+    observer.on_complete(&CompleteEvent::from_outcome(&outcome).with_peak_arena_bytes(peak));
     Ok(outcome)
 }
 
@@ -275,7 +264,6 @@ fn eager_generate(
     lo: usize,
     hi: usize,
     gap: GapRequirement,
-    kern: ResolvedKernel,
     row: &BoundRow,
     next: &mut PilSet,
     repr: &mut ReprCache,
@@ -322,7 +310,7 @@ fn eager_generate(
             // the sparse walk would have reported.
             let dense = repr.get(members[s + j]).expect("decided dense");
             bufs.outs[j].clear();
-            kernel::join_dense_kernel(kern, a, dense, gap, &mut bufs.outs[j], &mut st.jc);
+            join_dense_into(a, dense, gap, &mut bufs.outs[j], &mut st.jc);
         }
         if !bufs.sparse_pos.is_empty() {
             let k = bufs.sparse_pos.len();
@@ -481,12 +469,6 @@ struct DfsJob {
     /// The `base_level + 1` bound row, built once on the main thread so
     /// chunk tasks skip per-task bound construction.
     first_row: BoundRow,
-    /// Per-list representation policy; each task builds its own
-    /// [`ReprCache`] (dense lists are reused across the left parents of
-    /// one task, never shared between threads).
-    repr: ReprPolicy,
-    /// Compute kernel for the dense probes inside every task.
-    kern: ResolvedKernel,
     /// Present when the base generation was spilled: the backend plus
     /// the once-only claim guard for each record.
     spill: Option<SpillState>,
@@ -536,7 +518,9 @@ impl DfsJob {
     fn process_chunk(&self, lo: usize, hi: usize) -> Result<TaskOut, MineError> {
         let started = Instant::now();
         let mut next = PilSet::new(self.base_level + 1);
-        let mut repr = ReprCache::with_kernel(self.repr, self.kern, Some(self.gap));
+        // Each task builds its own cache: dense lists are reused across
+        // the left parents of one task, never shared between threads.
+        let mut repr = ReprCache::new();
         let mut bufs = EagerBufs::default();
         let mut frequent: Vec<FrequentPattern> = Vec::new();
         let st = eager_generate(
@@ -546,7 +530,6 @@ impl DfsJob {
             lo,
             hi,
             self.gap,
-            self.kern,
             &self.first_row,
             &mut next,
             &mut repr,
@@ -587,8 +570,7 @@ impl DfsJob {
             counts: &counts,
             bounds: BoundTable::new(&counts, &self.rho, self.n),
             gauge: MemGauge::new(&self.live, &self.peak, self.limit),
-            repr: ReprCache::with_kernel(self.repr, self.kern, Some(self.gap)),
-            kern: self.kern,
+            repr: ReprCache::new(),
             bufs: EagerBufs::default(),
             aggs: BTreeMap::new(),
             frequent: Vec::new(),
@@ -671,8 +653,7 @@ impl DfsJob {
             counts: &counts,
             bounds: BoundTable::new(&counts, &self.rho, self.n),
             gauge: MemGauge::new(&self.live, &self.peak, self.limit),
-            repr: ReprCache::with_kernel(self.repr, self.kern, Some(self.gap)),
-            kern: self.kern,
+            repr: ReprCache::new(),
             bufs: EagerBufs::default(),
             aggs: BTreeMap::new(),
             frequent: Vec::new(),
@@ -746,7 +727,6 @@ struct TaskCtx<'a> {
     bounds: BoundTable<'a>,
     gauge: MemGauge<'a>,
     repr: ReprCache,
-    kern: ResolvedKernel,
     bufs: EagerBufs,
     aggs: BTreeMap<usize, LevelAgg>,
     frequent: Vec<FrequentPattern>,
@@ -794,7 +774,6 @@ fn descend_split(
         0,
         members.len(),
         ctx.gap,
-        ctx.kern,
         &row,
         &mut next,
         &mut ctx.repr,
@@ -868,7 +847,6 @@ fn mine_chain(
             0,
             members.len(),
             ctx.gap,
-            ctx.kern,
             &row,
             &mut next,
             &mut ctx.repr,
@@ -924,7 +902,6 @@ pub(crate) fn run_hybrid<O: MineObserver>(
     rho: &BigRatio,
     n: usize,
     config: &MppConfig,
-    kern: ResolvedKernel,
     seed: PilSet,
     threads: usize,
     hooks: PoolHooks,
@@ -1017,7 +994,7 @@ pub(crate) fn run_hybrid<O: MineObserver>(
             },
         );
 
-        let mut repr_cache = ReprCache::with_kernel(config.pil_repr, kern, Some(gap));
+        let mut repr_cache = ReprCache::new();
         let mut bufs = EagerBufs::default();
         let mut level = start;
         loop {
@@ -1122,8 +1099,6 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                     live: Arc::clone(&live),
                     peak: Arc::clone(&peak_shared),
                     first_row,
-                    repr: config.pil_repr,
-                    kern,
                     spill: spill_state,
                     cursor: AtomicUsize::new(0),
                     hooks,
@@ -1221,8 +1196,6 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                         live: Arc::clone(&live),
                         peak: Arc::clone(&peak_shared),
                         first_row,
-                        repr: config.pil_repr,
-                        kern,
                         spill: None,
                         cursor: AtomicUsize::new(0),
                         hooks,
@@ -1259,7 +1232,6 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                         0,
                         kept.len(),
                         gap,
-                        kern,
                         &first_row,
                         &mut next,
                         &mut repr_cache,
@@ -1453,20 +1425,26 @@ mod tests {
 
     #[test]
     fn dfs_mining_is_representation_invariant() {
-        use crate::adaptive::{PilRepr, ReprPolicy};
-        let seq = uniform(&mut StdRng::seed_from_u64(95), Alphabet::Dna, 400);
+        // The occupancy rule mixes dense probes and sparse merges inside
+        // every task; on any thread count the result must match the
+        // sparse-only reference engine. (A/T-rich, so that some lists
+        // fill enough of their span to go dense.)
+        let seq = perigap_seq::gen::iid::weighted(
+            &mut StdRng::seed_from_u64(95),
+            Alphabet::Dna,
+            400,
+            &[0.45, 0.05, 0.05, 0.45],
+        );
         let g = gap(1, 3);
         let rho = 0.0008;
-        let base = mpp_dfs(&seq, g, rho, 12, MppConfig::default(), 1).unwrap();
-        for mode in [PilRepr::Sparse, PilRepr::Dense, PilRepr::Auto] {
-            let config = MppConfig {
-                pil_repr: ReprPolicy::of(mode),
-                ..MppConfig::default()
-            };
-            for threads in [1usize, 4] {
-                let run = mpp_dfs(&seq, g, rho, 12, config.clone(), threads).unwrap();
-                assert_counters_match(&run, &base, &format!("{mode} on {threads} threads"));
-            }
+        let base =
+            crate::reference::mpp_reference(&seq, g, rho, 12, MppConfig::default(), 1).unwrap();
+        for threads in [1usize, 4] {
+            let before = crate::adaptive::repr_stats();
+            let run = mpp_dfs(&seq, g, rho, 12, MppConfig::default(), threads).unwrap();
+            let delta = crate::adaptive::repr_stats().since(before);
+            assert!(delta.dense > 0 && delta.sparse > 0, "{delta:?}");
+            assert_counters_match(&run, &base, &format!("{threads} threads"));
         }
     }
 
@@ -1533,14 +1511,13 @@ mod tests {
                 main_no_steal: true,
             };
             let result = prepare(&seq, g, 0.4, &config).and_then(|(counts, rho_exact)| {
-                let pils = build_seed(&seq, g, config.start_level, ResolvedKernel::Scalar);
+                let pils = build_seed(&seq, g, config.start_level);
                 run_hybrid(
                     &seq,
                     &counts,
                     &rho_exact,
                     20,
                     &config,
-                    ResolvedKernel::Scalar,
                     pils,
                     4,
                     hooks,

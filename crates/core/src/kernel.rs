@@ -1,139 +1,17 @@
-//! Runtime-dispatched compute kernels for the two dominant inner
-//! loops: the dense window probe and the level-3 seeding scan.
+//! CPU feature probe.
 //!
-//! The mining engines spend their plateau levels in
-//! [`crate::pil::join_dense_into`] (one clamped prefix-sum probe per
-//! prefix offset) and their start-up in the level-3 seeding scan over
-//! the sequence. Both have hand-vectorized AVX2 twins here, selected
-//! **at runtime**:
-//!
-//! * [`Kernel`] is the user-facing choice (`--kernel auto|scalar|simd`).
-//! * [`Kernel::resolve`] turns it into a [`ResolvedKernel`] by probing
-//!   the CPU once (`is_x86_feature_detected!("avx2")`) — `auto` and
-//!   `simd` both fall back to the scalar kernels on machines without
-//!   AVX2 (or off x86-64 entirely), and the [`FORCE_SCALAR_ENV`]
-//!   environment variable forces the fallback everywhere, which is how
-//!   CI proves the fallback path on hardware that *does* have the
-//!   features.
-//!
-//! The ISSUE that motivated this layer asked for `std::simd`; that API
-//! is unstable on the pinned toolchain, so the vector kernels use the
-//! stable `core::arch::x86_64` intrinsics behind the same runtime
-//! detection, with the scalar kernels as the portable fallback (see
-//! DESIGN.md §12).
-//!
-//! ## Bit-identity
-//!
-//! Kernel choice is pure performance: both vector kernels perform the
-//! same `u64` arithmetic as their scalar twins on the same operands —
-//! the probe reads a windowed-sum array whose entries are exactly the
-//! `psum[hi] − psum[lo]` differences the scalar probe computes, and the
-//! seeding scan accumulates the same per-`(pattern, start)` event
-//! counts with the same saturation rule — so mined patterns, supports,
-//! `MineStats`, and every saturation flag are byte-identical across
-//! `--kernel` choices. The differential suites in `tests/prop_engine.rs`
-//! and the unit tests below hold that line.
+//! The miners run one portable scalar join path (see DESIGN.md §12);
+//! nothing in the engines dispatches on CPU features. The probe stays
+//! so benchmark provenance can record whether the machine it ran on
+//! has AVX2.
 
-use crate::gap::GapRequirement;
-use crate::packed::KeyCodec;
-use crate::pil::{join_dense_into, DensePil, JoinCounters};
-use perigap_seq::Sequence;
-use std::fmt;
-use std::str::FromStr;
 use std::sync::OnceLock;
 
-/// Environment variable that forces the scalar kernels for the whole
-/// process, regardless of CPU features or `--kernel` choice. Used by CI
-/// to prove the runtime fallback engages on feature-rich hardware.
-pub const FORCE_SCALAR_ENV: &str = "PERIGAP_FORCE_SCALAR";
-
-/// The user-facing kernel choice (`pgmine mine --kernel …`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Kernel {
-    /// Use the vector kernels when the CPU supports them (the default).
-    #[default]
-    Auto,
-    /// Always use the scalar kernels.
-    Scalar,
-    /// Prefer the vector kernels; falls back to scalar at runtime when
-    /// the required features are missing.
-    Simd,
-}
-
-impl Kernel {
-    /// Resolve against the running CPU: the answer every join and seed
-    /// call will actually use.
-    pub fn resolve(self) -> ResolvedKernel {
-        match self {
-            Kernel::Scalar => ResolvedKernel::Scalar,
-            Kernel::Auto | Kernel::Simd => {
-                if simd_available() {
-                    ResolvedKernel::Simd
-                } else {
-                    ResolvedKernel::Scalar
-                }
-            }
-        }
-    }
-}
-
-impl FromStr for Kernel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Kernel, String> {
-        match s {
-            "auto" => Ok(Kernel::Auto),
-            "scalar" => Ok(Kernel::Scalar),
-            "simd" => Ok(Kernel::Simd),
-            other => Err(format!("unknown kernel {other:?} (auto|scalar|simd)")),
-        }
-    }
-}
-
-impl fmt::Display for Kernel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Kernel::Auto => "auto",
-            Kernel::Scalar => "scalar",
-            Kernel::Simd => "simd",
-        })
-    }
-}
-
-/// What [`Kernel::resolve`] decided for this process: the concrete
-/// kernel set every engine call dispatches on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ResolvedKernel {
-    /// Portable scalar kernels.
-    Scalar,
-    /// AVX2 vector kernels (x86-64 with AVX2 detected at runtime).
-    Simd,
-}
-
-impl ResolvedKernel {
-    /// Stable lowercase name, for trace events and CI greps.
-    pub fn name(self) -> &'static str {
-        match self {
-            ResolvedKernel::Scalar => "scalar",
-            ResolvedKernel::Simd => "simd",
-        }
-    }
-}
-
-impl fmt::Display for ResolvedKernel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// True when the vector kernels can run: x86-64 with AVX2 detected at
-/// runtime and [`FORCE_SCALAR_ENV`] unset. Probed once per process.
+/// True on x86-64 when AVX2 is detected at runtime. Probed once per
+/// process.
 pub fn simd_available() -> bool {
     static AVAILABLE: OnceLock<bool> = OnceLock::new();
     *AVAILABLE.get_or_init(|| {
-        if std::env::var_os(FORCE_SCALAR_ENV).is_some_and(|v| !v.is_empty()) {
-            return false;
-        }
         #[cfg(target_arch = "x86_64")]
         {
             std::arch::is_x86_feature_detected!("avx2")
@@ -143,385 +21,4 @@ pub fn simd_available() -> bool {
             false
         }
     })
-}
-
-/// The dense window probe behind a kernel switch: scalar goes to
-/// [`join_dense_into`]; SIMD gathers from the suffix's windowed-sum
-/// array when it was built for this gap (see
-/// [`DensePil::build_windowed`]) and falls back to the scalar probe
-/// otherwise. Output and counters are identical either way.
-pub fn join_dense_kernel(
-    kern: ResolvedKernel,
-    a: &[(u32, u64)],
-    b: &DensePil,
-    gap: GapRequirement,
-    out: &mut Vec<(u32, u64)>,
-    counters: &mut JoinCounters,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if kern == ResolvedKernel::Simd {
-        let width = (gap.max_step() - gap.min_step() + 1) as u64;
-        if b.wsum().is_some_and(|(w, _)| w == width) && simd_available() {
-            // SAFETY: `simd_available` verified AVX2 at runtime.
-            unsafe { join_dense_avx2(a, b, gap, out, counters) };
-            return;
-        }
-    }
-    let _ = kern;
-    join_dense_into(a, b, gap, out, counters);
-}
-
-/// AVX2 dense probe: interior offsets collapse to **one** gathered load
-/// from the windowed-sum array (`w = wsum[x + min_step − base]`),
-/// replacing the scalar kernel's two clamped prefix-sum loads; only the
-/// few offsets whose window is clipped at the suffix's left edge take
-/// the two-sided scalar form. Bit-identical to [`join_dense_into`]:
-/// `wsum[i]` is precomputed as exactly `psum[min(i+W, span)] − psum[i]`,
-/// the value the scalar clamp arithmetic produces for every interior
-/// probe.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn join_dense_avx2(
-    a: &[(u32, u64)],
-    b: &DensePil,
-    gap: GapRequirement,
-    out: &mut Vec<(u32, u64)>,
-    counters: &mut JoinCounters,
-) {
-    use std::arch::x86_64::*;
-    counters.joins += 1;
-    let base = b.base();
-    let end = base + b.span() as u64;
-    // Clip to the occupied range [base, end - 1]; `end` itself is the
-    // exclusive psum bound (mirrors `join_dense_into`).
-    let (from, to) = crate::pil::overlap_range(a, base, end - 1, gap);
-    let a = &a[from..to];
-    if a.is_empty() {
-        return;
-    }
-    counters.probed += a.len() as u64;
-    let min_step = gap.min_step() as u64;
-    let max_step = gap.max_step() as u64;
-    let psum = b.psum();
-    let (_, wsum) = b.wsum().expect("caller checked the windowed sums");
-    let start = out.len();
-    let cap_before = out.capacity();
-    out.resize(start + a.len(), (0, 0));
-    let dst = &mut out[start..];
-    let mut k = 0usize;
-    // Scalar prologue: offsets whose window is clipped at the left edge
-    // (x + min_step < base) need the two-sided clamped probe. At most
-    // `width` offsets qualify.
-    let mut i = 0usize;
-    while i < a.len() && (a[i].0 as u64) + min_step < base {
-        let x = a[i].0;
-        let lo = (x as u64 + min_step).clamp(base, end) - base;
-        let hi = (x as u64 + max_step + 1).clamp(base, end) - base;
-        let w = psum[hi as usize] - psum[lo as usize];
-        dst[k] = (x, w);
-        k += (w > 0) as usize;
-        i += 1;
-    }
-    // Interior: overlap clipping guarantees x + min_step ∈ [base, end],
-    // so the probe index x + min_step − base is in bounds and the
-    // window sum is one load.
-    let body = &a[i..];
-    let wptr = wsum.as_ptr() as *const i64;
-    let mut lanes = [0u64; 4];
-    let mut chunks = body.chunks_exact(4);
-    for chunk in chunks.by_ref() {
-        let idx = _mm256_set_epi64x(
-            (chunk[3].0 as u64 + min_step - base) as i64,
-            (chunk[2].0 as u64 + min_step - base) as i64,
-            (chunk[1].0 as u64 + min_step - base) as i64,
-            (chunk[0].0 as u64 + min_step - base) as i64,
-        );
-        let w = _mm256_i64gather_epi64::<8>(wptr, idx);
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, w);
-        for (&(x, _), &w) in chunk.iter().zip(lanes.iter()) {
-            dst[k] = (x, w);
-            k += (w > 0) as usize;
-        }
-    }
-    for &(x, _) in chunks.remainder() {
-        let w = wsum[(x as u64 + min_step - base) as usize];
-        dst[k] = (x, w);
-        k += (w > 0) as usize;
-    }
-    out.truncate(start + k);
-    counters.note_growth(out, cap_before);
-}
-
-/// Vectorized level-3 seeding: the recursive per-start key scan
-/// flattened into three explicit loops, with the innermost gap window —
-/// a **contiguous** byte range of the sequence — widened eight symbols
-/// at a time into packed keys by AVX2, and the per-event arena bumps
-/// replaced by a stamp-cleared key histogram flushed once per start.
-///
-/// Returns `None` when the vector path cannot run (off x86-64, AVX2
-/// missing, or the key table would be too large); the caller then uses
-/// the recursive scalar scan. On `Some`, the slot table is
-/// entry-identical to the scalar scan's: one `(start, count)` entry per
-/// `(pattern, start)` pair, starts ascending, with the same saturation
-/// rule (an event on a count already at `u64::MAX` is lost and flags
-/// the generation).
-/// Per-key slot table produced by level-3 seeding: one `(start, count)`
-/// entry per `(pattern, start)` pair, indexed by packed key.
-pub(crate) type SeedSlots = Vec<Vec<(u32, u64)>>;
-
-pub(crate) fn build_seed_l3_simd(
-    seq: &Sequence,
-    gap: GapRequirement,
-    codec: KeyCodec,
-    max_key_bits: u32,
-) -> Option<(SeedSlots, bool)> {
-    if !simd_available() || codec.key_bits(3) > max_key_bits {
-        return None;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        let mut slots: Vec<Vec<(u32, u64)>> = vec![Vec::new(); 1usize << codec.key_bits(3)];
-        // SAFETY: `simd_available` verified AVX2 at runtime.
-        let saturated = unsafe { seed_scan_l3_avx2(seq.codes(), gap, codec.bits(), &mut slots) };
-        Some((slots, saturated))
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        None
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn seed_scan_l3_avx2(
-    codes: &[u8],
-    gap: GapRequirement,
-    bits: u32,
-    slots: &mut [Vec<(u32, u64)>],
-) -> bool {
-    use std::arch::x86_64::*;
-    let len = codes.len();
-    let min_step = gap.min_step();
-    let max_step = gap.max_step();
-    // Lazily-cleared histogram: `stamp[key] == start` marks `hist[key]`
-    // live for the current start, so no per-start clearing of the
-    // (up to 2^20-slot) table is ever needed.
-    let mut stamp = vec![0u32; slots.len()];
-    let mut hist = vec![0u64; slots.len()];
-    let mut touched: Vec<u32> = Vec::new();
-    let mut saturated = false;
-    let mut keybuf = [0u32; 8];
-    for start in 1..=len {
-        let cur = start as u32;
-        touched.clear();
-        let k0 = (codes[start - 1] as u32) << (2 * bits);
-        for step1 in min_step..=max_step {
-            let p2 = start + step1;
-            if p2 > len {
-                break;
-            }
-            let k1 = k0 | ((codes[p2 - 1] as u32) << bits);
-            let lo3 = p2 + min_step;
-            if lo3 > len {
-                // Larger steps only overshoot further.
-                break;
-            }
-            let hi3 = (p2 + max_step).min(len);
-            let window = &codes[lo3 - 1..hi3];
-            let broadcast = _mm256_set1_epi32(k1 as i32);
-            let mut chunks = window.chunks_exact(8);
-            for chunk in chunks.by_ref() {
-                let bytes = _mm_loadl_epi64(chunk.as_ptr() as *const __m128i);
-                let keys = _mm256_or_si256(_mm256_cvtepu8_epi32(bytes), broadcast);
-                _mm256_storeu_si256(keybuf.as_mut_ptr() as *mut __m256i, keys);
-                for &key in &keybuf {
-                    bump_hist(
-                        key as usize,
-                        cur,
-                        &mut stamp,
-                        &mut hist,
-                        &mut touched,
-                        &mut saturated,
-                    );
-                }
-            }
-            for &c in chunks.remainder() {
-                bump_hist(
-                    (k1 | c as u32) as usize,
-                    cur,
-                    &mut stamp,
-                    &mut hist,
-                    &mut touched,
-                    &mut saturated,
-                );
-            }
-        }
-        // One arena push per (pattern, start) pair — the scalar scan's
-        // `bump` produces exactly this entry, only via `last_mut`
-        // checks on every event.
-        for &key in &touched {
-            slots[key as usize].push((cur, hist[key as usize]));
-        }
-    }
-    saturated
-}
-
-/// Benchmark hook: run the full level-3 seeding (scalar table walk or
-/// the AVX2 scan, per `kern`) and return `(patterns, pil_entries)` of
-/// the seeded generation. Exists so the harness can time the seeding
-/// kernels in isolation without making the arena types public.
-pub fn seed_level3(seq: &Sequence, gap: GapRequirement, kern: ResolvedKernel) -> (usize, usize) {
-    let set = crate::arena::build_seed(seq, gap, 3, kern);
-    (set.len(), set.entry_count())
-}
-
-/// One seeding event: first touch per start initializes the slot,
-/// later touches accumulate with the scalar `bump`'s saturation rule.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn bump_hist(
-    key: usize,
-    cur: u32,
-    stamp: &mut [u32],
-    hist: &mut [u64],
-    touched: &mut Vec<u32>,
-    saturated: &mut bool,
-) {
-    if stamp[key] != cur {
-        stamp[key] = cur;
-        hist[key] = 1;
-        touched.push(key as u32);
-    } else {
-        *saturated |= hist[key] == u64::MAX;
-        hist[key] = hist[key].saturating_add(1);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn gap(n: usize, m: usize) -> GapRequirement {
-        GapRequirement::new(n, m).unwrap()
-    }
-
-    #[test]
-    fn kernel_parses_displays_and_defaults() {
-        assert_eq!(Kernel::default(), Kernel::Auto);
-        for (text, kern) in [
-            ("auto", Kernel::Auto),
-            ("scalar", Kernel::Scalar),
-            ("simd", Kernel::Simd),
-        ] {
-            assert_eq!(text.parse::<Kernel>().unwrap(), kern);
-            assert_eq!(kern.to_string(), text);
-        }
-        assert!("avx512".parse::<Kernel>().is_err());
-    }
-
-    #[test]
-    fn resolve_respects_scalar_and_availability() {
-        assert_eq!(Kernel::Scalar.resolve(), ResolvedKernel::Scalar);
-        let expect = if simd_available() {
-            ResolvedKernel::Simd
-        } else {
-            ResolvedKernel::Scalar
-        };
-        assert_eq!(Kernel::Auto.resolve(), expect);
-        assert_eq!(Kernel::Simd.resolve(), expect);
-        assert_eq!(expect.name(), expect.to_string());
-    }
-
-    /// A suffix PIL with `n` entries spread over a stride so windows
-    /// cover zero, one, and several entries.
-    fn suffix_entries(n: usize, stride: u32, start: u32) -> Vec<(u32, u64)> {
-        (0..n as u32)
-            .map(|i| (start + i * stride, (i as u64 % 7) + 1))
-            .collect()
-    }
-
-    /// The probe must agree with the scalar kernel entry-for-entry at
-    /// every lane-boundary left length (len % 4 and % 64 edges), with
-    /// and without a usable windowed-sum array, including appending
-    /// after existing content.
-    #[test]
-    fn dense_probe_is_kernel_invariant() {
-        let g = gap(1, 4);
-        let width = (g.max_step() - g.min_step() + 1) as u64;
-        for (bn, stride, bstart) in [(40usize, 2u32, 6u32), (300, 1, 1), (9, 11, 30)] {
-            let b_entries = suffix_entries(bn, stride, bstart);
-            let windowed = DensePil::build_windowed(&b_entries, g).unwrap();
-            assert_eq!(windowed.wsum().unwrap().0, width);
-            let plain = DensePil::build(&b_entries).unwrap();
-            for an in [0usize, 1, 3, 4, 5, 63, 64, 65, 127, 128] {
-                // Left offsets straddle the suffix's left edge so the
-                // scalar prologue and the gathered interior both run.
-                let a: Vec<(u32, u64)> = (0..an as u32).map(|i| (1 + i, 1)).collect();
-                let mut scalar = vec![(999u32, 7u64)];
-                let mut simd = scalar.clone();
-                join_dense_into(&a, &windowed, g, &mut scalar, &mut JoinCounters::default());
-                join_dense_kernel(
-                    ResolvedKernel::Simd,
-                    &a,
-                    &windowed,
-                    g,
-                    &mut simd,
-                    &mut JoinCounters::default(),
-                );
-                assert_eq!(scalar, simd, "windowed, |a| = {an}, |b| = {bn}");
-                // Without matching windowed sums the kernel must fall
-                // back to the scalar probe (still identical output).
-                let mut fallback = vec![(999u32, 7u64)];
-                join_dense_kernel(
-                    ResolvedKernel::Simd,
-                    &a,
-                    &plain,
-                    g,
-                    &mut fallback,
-                    &mut JoinCounters::default(),
-                );
-                assert_eq!(scalar, fallback, "fallback, |a| = {an}, |b| = {bn}");
-            }
-        }
-    }
-
-    /// A windowed build for one gap must not be gathered under another:
-    /// the width check routes the join to the scalar probe.
-    #[test]
-    fn mismatched_window_width_falls_back() {
-        let b_entries = suffix_entries(50, 2, 5);
-        let built_for = gap(0, 3);
-        let probed_with = gap(1, 9);
-        let windowed = DensePil::build_windowed(&b_entries, built_for).unwrap();
-        let a: Vec<(u32, u64)> = (0..70u32).map(|i| (1 + i, 2)).collect();
-        let mut expect = Vec::new();
-        join_dense_into(
-            &a,
-            &windowed,
-            probed_with,
-            &mut expect,
-            &mut JoinCounters::default(),
-        );
-        let mut got = Vec::new();
-        join_dense_kernel(
-            ResolvedKernel::Simd,
-            &a,
-            &windowed,
-            probed_with,
-            &mut got,
-            &mut JoinCounters::default(),
-        );
-        assert_eq!(expect, got);
-    }
-
-    #[test]
-    fn seed_level3_counts_are_kernel_invariant() {
-        let seq = Sequence::dna(&"ACGGTTACAGTCAGCA".repeat(25)).unwrap();
-        for g in [gap(0, 1), gap(0, 9), gap(2, 5)] {
-            let scalar = seed_level3(&seq, g, ResolvedKernel::Scalar);
-            let simd = seed_level3(&seq, g, ResolvedKernel::Simd);
-            assert_eq!(scalar, simd, "gap {g}");
-            assert!(scalar.0 > 0 && scalar.1 >= scalar.0);
-        }
-    }
 }

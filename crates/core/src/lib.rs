@@ -36,6 +36,7 @@
 //! | §2 related-work models (extensions) | [`windowed`], [`multiseq`] |
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod adaptive;
 pub(crate) mod arena;
@@ -68,7 +69,7 @@ pub mod trace;
 pub mod verify;
 pub mod windowed;
 
-pub use adaptive::{repr_stats, PilRepr, ReprPolicy, ReprStats};
+pub use adaptive::{repr_stats, ReprStats};
 pub use corpus::{
     mine_corpus, CheckpointConfig, Corpus, CorpusMineConfig, CorpusOutcome, ShardEngine,
 };
@@ -80,7 +81,6 @@ pub use incremental::{
     CachedPattern, DiffEntry, DiffKind, DiffStats, EngineSelection, IncrementalMode,
     IncrementalOutcome, ResultCache,
 };
-pub use kernel::{Kernel, ResolvedKernel};
 pub use pattern::Pattern;
 pub use pil::{DensePil, JoinCounters, Pil};
 pub use prune::{select_top_k, PruneMode, TargetSpec};

@@ -7,12 +7,11 @@
 //! shared with [`crate::mppm`], which differs only in how `n` is
 //! chosen.
 
-use crate::adaptive::{ReprCache, ReprPolicy};
+use crate::adaptive::ReprCache;
 use crate::arena::{build_seed, generate_candidates, prefix_runs, PilSet};
 use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::kernel::{Kernel, ResolvedKernel};
 use crate::lambda::BoundTable;
 use crate::pattern::Pattern;
 use crate::pil::JoinCounters;
@@ -43,17 +42,6 @@ pub struct MppConfig {
     /// unlimited. The hybrid DFS engine can finish under the ceiling
     /// anyway by spilling cold subtrees — see [`MppConfig::spill_dir`].
     pub max_arena_bytes: Option<usize>,
-    /// Per-suffix PIL representation policy for the join kernels
-    /// (sparse sliding-window merge vs dense prefix-sum probe) — a pure
-    /// performance knob; mined output and `MineStats` are bit-identical
-    /// under every setting. See [`crate::adaptive::ReprPolicy`].
-    pub pil_repr: ReprPolicy,
-    /// Compute-kernel selection for the dense window probe and the
-    /// level-3 seeding scan (scalar vs AVX2 SIMD). Like
-    /// [`MppConfig::pil_repr`] this is a pure performance knob: mined
-    /// output, saturation flags and `MineStats` are bit-identical under
-    /// every setting. See [`crate::kernel`].
-    pub kernel: Kernel,
     /// Directory for DFS spill records (see [`crate::spill`]). `Some`
     /// arms spill-to-disk on the hybrid engine when `max_arena_bytes`
     /// is also set; the breadth-first engines ignore it and keep the
@@ -81,8 +69,6 @@ impl Default for MppConfig {
             start_level: 3,
             max_level: None,
             max_arena_bytes: None,
-            pil_repr: ReprPolicy::default(),
-            kernel: Kernel::default(),
             spill_dir: None,
             spill_watermark: 0.5,
             spill_io: None,
@@ -120,10 +106,9 @@ pub fn mpp_traced<O: MineObserver>(
     let started = Instant::now();
     let repr_before = crate::adaptive::repr_stats();
     let (counts, rho_exact) = prepare(seq, gap, rho, &config)?;
-    let kern = config.kernel.resolve();
     let seed_started = Instant::now();
     let mut meter = ResourceMeter::start(observer);
-    let pils = build_seed(seq, gap, config.start_level, kern);
+    let pils = build_seed(seq, gap, config.start_level);
     let (minflt, sys) = meter.lap();
     observer.on_seed(&SeedEvent {
         level: config.start_level,
@@ -134,28 +119,19 @@ pub fn mpp_traced<O: MineObserver>(
         sys,
         elapsed: seed_started.elapsed(),
     });
-    let (mut outcome, peak) = match run_levelwise(
-        seq, &counts, &rho_exact, n, &config, kern, pils, None, observer,
-    ) {
-        Ok(done) => done,
-        Err(e) => {
-            observer.on_abort(&AbortEvent {
-                message: e.to_string(),
-            });
-            return Err(e);
-        }
-    };
+    let (mut outcome, peak) =
+        match run_levelwise(seq, &counts, &rho_exact, n, &config, pils, None, observer) {
+            Ok(done) => done,
+            Err(e) => {
+                observer.on_abort(&AbortEvent {
+                    message: e.to_string(),
+                });
+                return Err(e);
+            }
+        };
     outcome.stats.total_elapsed = started.elapsed();
-    observer.on_repr(
-        &crate::adaptive::repr_stats()
-            .since(repr_before)
-            .to_event(config.pil_repr.mode),
-    );
-    observer.on_complete(
-        &CompleteEvent::from_outcome(&outcome)
-            .with_peak_arena_bytes(peak)
-            .with_kernel(kern),
-    );
+    observer.on_repr(&crate::adaptive::repr_stats().since(repr_before).to_event());
+    observer.on_complete(&CompleteEvent::from_outcome(&outcome).with_peak_arena_bytes(peak));
     Ok(outcome)
 }
 
@@ -219,7 +195,6 @@ pub(crate) fn run_levelwise<O: MineObserver>(
     rho: &BigRatio,
     n: usize,
     config: &MppConfig,
-    kern: ResolvedKernel,
     seed: PilSet,
     mut stats_seed: Option<MineStats>,
     observer: &mut O,
@@ -245,7 +220,7 @@ pub(crate) fn run_levelwise<O: MineObserver>(
     let mut next = PilSet::new(start + 1);
     // One reused representation cache: per-suffix dense builds live
     // only for the level that decided them.
-    let mut repr = ReprCache::with_kernel(config.pil_repr, kern, Some(gap));
+    let mut repr = ReprCache::new();
     let mut kept: Vec<usize> = Vec::new();
     let mut level = start;
     let mut candidates_at_level: u128 = sigma.saturating_pow(start as u32);
@@ -349,7 +324,6 @@ pub(crate) fn run_levelwise<O: MineObserver>(
             kept.len(),
             &mut next,
             &mut repr,
-            kern,
             &mut jc,
             &pruner,
         );
@@ -616,32 +590,34 @@ mod tests {
 
     #[test]
     fn mining_is_representation_invariant() {
-        use crate::adaptive::{PilRepr, ReprPolicy};
-        let s = uniform(&mut StdRng::seed_from_u64(18), Alphabet::Dna, 300);
+        // The occupancy rule joins some suffix lists through the dense
+        // probe and the rest through the sparse merge; the mix must
+        // match the sparse-only reference engine exactly. Uniform DNA
+        // caps a list's occupancy at P(first symbol) = 1/4, so an
+        // A/T-rich sequence is what gives the rule dense lists.
+        let s = perigap_seq::gen::iid::weighted(
+            &mut StdRng::seed_from_u64(18),
+            Alphabet::Dna,
+            300,
+            &[0.45, 0.05, 0.05, 0.45],
+        );
         let g = gap(0, 3);
         let rho = 0.0008;
-        let base_cfg = MppConfig {
-            pil_repr: ReprPolicy::of(PilRepr::Sparse),
-            ..MppConfig::default()
-        };
-        let base = mpp(&s, g, rho, 12, base_cfg).unwrap();
-        for mode in [PilRepr::Dense, PilRepr::Auto] {
-            let cfg = MppConfig {
-                pil_repr: ReprPolicy::of(mode),
-                ..MppConfig::default()
-            };
-            let out = mpp(&s, g, rho, 12, cfg).unwrap();
-            assert_eq!(base.frequent, out.frequent, "mode {mode}");
-            assert_eq!(base.stats.n_used, out.stats.n_used);
-            assert_eq!(base.stats.support_saturated, out.stats.support_saturated);
-            assert_eq!(base.stats.levels.len(), out.stats.levels.len());
-            for (a, b) in base.stats.levels.iter().zip(&out.stats.levels) {
-                assert_eq!(
-                    (a.level, a.candidates, a.frequent, a.extended),
-                    (b.level, b.candidates, b.frequent, b.extended),
-                    "mode {mode}"
-                );
-            }
+        let before = crate::adaptive::repr_stats();
+        let out = mpp(&s, g, rho, 12, MppConfig::default()).unwrap();
+        let delta = crate::adaptive::repr_stats().since(before);
+        assert!(delta.dense > 0 && delta.sparse > 0, "{delta:?}");
+        let base =
+            crate::reference::mpp_reference(&s, g, rho, 12, MppConfig::default(), 1).unwrap();
+        assert_eq!(base.frequent, out.frequent);
+        assert_eq!(base.stats.n_used, out.stats.n_used);
+        assert_eq!(base.stats.support_saturated, out.stats.support_saturated);
+        assert_eq!(base.stats.levels.len(), out.stats.levels.len());
+        for (a, b) in base.stats.levels.iter().zip(&out.stats.levels) {
+            assert_eq!(
+                (a.level, a.candidates, a.frequent, a.extended),
+                (b.level, b.candidates, b.frequent, b.extended),
+            );
         }
     }
 

@@ -14,7 +14,6 @@ use crate::counts::OffsetCounts;
 use crate::em::compute_em;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::kernel::ResolvedKernel;
 use crate::lambda::PruneBound;
 use crate::mpp::{prepare, run_levelwise, MppConfig};
 use crate::parallel::PoolHooks;
@@ -61,7 +60,6 @@ struct MppmPrelude {
     counts: OffsetCounts,
     rho_exact: BigRatio,
     n: usize,
-    kern: ResolvedKernel,
     pils: PilSet,
     stats_seed: MineStats,
 }
@@ -95,10 +93,9 @@ fn mppm_prelude<O: MineObserver>(
 
     // Phase 2: seed-level supports.
     let start = config.start_level;
-    let kern = config.kernel.resolve();
     let seed_started = Instant::now();
     let mut meter = ResourceMeter::start(observer);
-    let pils = build_seed(seq, gap, start, kern);
+    let pils = build_seed(seq, gap, start);
     let (minflt, sys) = meter.lap();
     observer.on_seed(&SeedEvent {
         level: start,
@@ -136,7 +133,6 @@ fn mppm_prelude<O: MineObserver>(
         counts,
         rho_exact,
         n,
-        kern,
         pils,
         stats_seed,
     })
@@ -155,19 +151,17 @@ pub fn mppm_traced<O: MineObserver>(
     let started = Instant::now();
     let repr_before = crate::adaptive::repr_stats();
     let p = mppm_prelude(seq, gap, rho, m, &config, observer)?;
-    let kern = p.kern;
     let run = run_levelwise(
         seq,
         &p.counts,
         &p.rho_exact,
         p.n,
         &config,
-        kern,
         p.pils,
         Some(p.stats_seed),
         observer,
     );
-    finish(run, started, repr_before, &config, kern, observer)
+    finish(run, started, repr_before, observer)
 }
 
 /// [`mppm`] on the hybrid BFS→DFS engine: the same `n` estimate and
@@ -196,21 +190,19 @@ pub fn mppm_dfs_traced<O: MineObserver>(
     let started = Instant::now();
     let repr_before = crate::adaptive::repr_stats();
     let p = mppm_prelude(seq, gap, rho, m, &config, observer)?;
-    let kern = p.kern;
     let run = crate::dfs::run_hybrid(
         seq,
         &p.counts,
         &p.rho_exact,
         p.n,
         &config,
-        kern,
         p.pils,
         threads,
         PoolHooks::default(),
         Some(p.stats_seed),
         observer,
     );
-    finish(run, started, repr_before, &config, kern, observer)
+    finish(run, started, repr_before, observer)
 }
 
 /// Shared MPPm tail: stamp the total wall time and emit the terminal
@@ -221,8 +213,6 @@ fn finish<O: MineObserver>(
     run: Result<(MineOutcome, usize), MineError>,
     started: Instant,
     repr_before: crate::adaptive::ReprStats,
-    config: &MppConfig,
-    kern: ResolvedKernel,
     observer: &mut O,
 ) -> Result<MineOutcome, MineError> {
     let (mut outcome, peak) = match run {
@@ -235,16 +225,8 @@ fn finish<O: MineObserver>(
         }
     };
     outcome.stats.total_elapsed = started.elapsed();
-    observer.on_repr(
-        &crate::adaptive::repr_stats()
-            .since(repr_before)
-            .to_event(config.pil_repr.mode),
-    );
-    observer.on_complete(
-        &CompleteEvent::from_outcome(&outcome)
-            .with_peak_arena_bytes(peak)
-            .with_kernel(kern),
-    );
+    observer.on_repr(&crate::adaptive::repr_stats().since(repr_before).to_event());
+    observer.on_complete(&CompleteEvent::from_outcome(&outcome).with_peak_arena_bytes(peak));
     Ok(outcome)
 }
 

@@ -45,7 +45,6 @@ use crate::arena::{build_seed, generate_candidates, prefix_runs, PilSet};
 use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::kernel::ResolvedKernel;
 use crate::lambda::BoundTable;
 use crate::mpp::{check_ceiling, prepare, MppConfig};
 use crate::pattern::Pattern;
@@ -114,10 +113,9 @@ pub fn mpp_parallel_traced<O: MineObserver>(
     let started = Instant::now();
     let repr_before = crate::adaptive::repr_stats();
     let (counts, rho_exact) = prepare(seq, gap, rho, &config)?;
-    let kern = config.kernel.resolve();
     let seed_started = Instant::now();
     let mut meter = ResourceMeter::start(observer);
-    let pils = build_seed(seq, gap, config.start_level, kern);
+    let pils = build_seed(seq, gap, config.start_level);
     let (minflt, sys) = meter.lap();
     observer.on_seed(&SeedEvent {
         level: config.start_level,
@@ -134,7 +132,6 @@ pub fn mpp_parallel_traced<O: MineObserver>(
         &rho_exact,
         n,
         &config,
-        kern,
         pils,
         threads,
         PoolHooks::default(),
@@ -150,16 +147,8 @@ pub fn mpp_parallel_traced<O: MineObserver>(
         }
     };
     outcome.stats.total_elapsed = started.elapsed();
-    observer.on_repr(
-        &crate::adaptive::repr_stats()
-            .since(repr_before)
-            .to_event(config.pil_repr.mode),
-    );
-    observer.on_complete(
-        &CompleteEvent::from_outcome(&outcome)
-            .with_peak_arena_bytes(peak)
-            .with_kernel(kern),
-    );
+    observer.on_repr(&crate::adaptive::repr_stats().since(repr_before).to_event());
+    observer.on_complete(&CompleteEvent::from_outcome(&outcome).with_peak_arena_bytes(peak));
     Ok(outcome)
 }
 
@@ -251,8 +240,6 @@ struct LevelJob {
     n_chunks: usize,
     cursor: AtomicUsize,
     hooks: PoolHooks,
-    /// Compute kernel for the dense probe inside each chunk.
-    kern: ResolvedKernel,
     /// Shared pruning state; floor reads inside a chunk see raises from
     /// every other thread's already-merged levels.
     pruner: Pruner,
@@ -316,7 +303,6 @@ impl PoolJob for LevelJob {
             hi,
             &mut scratch.out,
             &mut scratch.repr,
-            self.kern,
             &mut jc,
             &self.pruner,
         );
@@ -631,7 +617,6 @@ fn run_parallel<O: MineObserver>(
     rho: &perigap_math::BigRatio,
     n: usize,
     config: &MppConfig,
-    kern: ResolvedKernel,
     seed: PilSet,
     threads: usize,
     hooks: PoolHooks,
@@ -654,12 +639,12 @@ fn run_parallel<O: MineObserver>(
         .map(|worker| LevelScratch {
             worker,
             out: PilSet::default(),
-            repr: ReprCache::with_kernel(config.pil_repr, kern, Some(gap)).per_parent(),
+            repr: ReprCache::new().per_parent(),
         })
         .collect();
     // Below the pool threshold a level runs on this thread in one pass,
     // where the whole-level dense cache gets its σ-fold reuse.
-    let mut serial_repr = ReprCache::with_kernel(config.pil_repr, kern, Some(gap));
+    let mut serial_repr = ReprCache::new();
 
     let mut stats = MineStats {
         n_used: n,
@@ -784,7 +769,6 @@ fn run_parallel<O: MineObserver>(
                     n_chunks,
                     cursor: AtomicUsize::new(0),
                     hooks,
-                    kern,
                     pruner: pruner.clone(),
                 });
                 let run = pool.run_with(job, std::mem::take(&mut scratches))?;
@@ -816,7 +800,6 @@ fn run_parallel<O: MineObserver>(
                     kept.len(),
                     &mut out,
                     &mut serial_repr,
-                    kern,
                     &mut level_jc,
                     &pruner,
                 );
@@ -882,15 +865,13 @@ mod tests {
         hooks: PoolHooks,
     ) -> Result<MineOutcome, MineError> {
         let (counts, rho_exact) = prepare(seq, g, rho, &config)?;
-        let kern = config.kernel.resolve();
-        let pils = build_seed(seq, g, config.start_level, kern);
+        let pils = build_seed(seq, g, config.start_level);
         run_parallel(
             seq,
             &counts,
             &rho_exact,
             n,
             &config,
-            kern,
             pils,
             threads,
             hooks,

@@ -45,7 +45,7 @@
 //! walks the whole level — and the engines hold it per suffix for as
 //! long as that reuse can happen. See [`crate::adaptive::ReprCache`]
 //! for the build lifetimes, the recycled build buffers, and the
-//! occupancy-based policy that picks a side per list.
+//! occupancy rule that picks a side per list.
 
 use crate::gap::GapRequirement;
 use crate::pattern::Pattern;
@@ -64,10 +64,8 @@ use std::collections::HashMap;
 ///   partner for the batched kernel).
 /// - `probed` — probe positions scanned: left offsets examined after
 ///   overlap clipping (× partners for the batched kernel) plus suffix
-///   entries absorbed into sliding windows. The dense and SIMD probe
-///   kernels count the same clipped left offsets, so the counter is
-///   kernel-invariant for a fixed representation; sparse and dense
-///   counts differ by construction.
+///   entries absorbed into sliding windows. Sparse and dense counts
+///   differ by construction.
 /// - `reallocs` — output-buffer growth events observed across a kernel
 ///   call (a lower bound on the allocator's actual reallocations).
 /// - `bytes_moved` — bytes of live buffer content at each observed
@@ -274,8 +272,7 @@ impl Pil {
     /// # Panics
     /// Panics if `level == 0`.
     pub fn build_all(seq: &Sequence, gap: GapRequirement, level: usize) -> HashMap<Pattern, Pil> {
-        crate::arena::build_seed(seq, gap, level, crate::kernel::Kernel::Auto.resolve())
-            .into_pil_map()
+        crate::arena::build_seed(seq, gap, level).into_pil_map()
     }
 }
 
@@ -330,12 +327,6 @@ pub struct DensePil {
     base: u64,
     /// Exclusive prefix sums over the span; `len == span + 1`.
     psum: Vec<u64>,
-    /// Optional windowed sums for the SIMD probe kernel:
-    /// `wsum[i] = psum[min(i + width, span)] − psum[i]`, so an interior
-    /// probe is a single load instead of two. Built only on request
-    /// ([`DensePil::build_windowed`]) because it doubles the memory and
-    /// is specific to one gap width.
-    wsum: Option<(u64, Vec<u64>)>,
 }
 
 impl DensePil {
@@ -343,24 +334,15 @@ impl DensePil {
     /// `None` for an empty list or when the total count overflows
     /// `u64`.
     pub fn build(entries: &[(u32, u64)]) -> Option<DensePil> {
-        DensePil::build_reusing(entries, None, &mut Vec::new())
+        DensePil::build_reusing(entries, &mut Vec::new())
     }
 
-    /// [`DensePil::build`] plus the windowed-sum array for `gap`'s
-    /// window width, enabling the single-load SIMD probe. Same `None`
-    /// conditions as `build`.
-    pub fn build_windowed(entries: &[(u32, u64)], gap: GapRequirement) -> Option<DensePil> {
-        DensePil::build_reusing(entries, Some(gap), &mut Vec::new())
-    }
-
-    /// The shared build: the arrays are written into buffers popped
-    /// from `spare` (fresh ones when it runs dry), and a refused build
-    /// returns its buffer there. With `gap` the windowed sums for its
-    /// width are built too. Recycled buffers are already resident, so a
-    /// build over one touches no new pages.
+    /// The shared build: the array is written into a buffer popped from
+    /// `spare` (a fresh one when it runs dry), and a refused build
+    /// returns its buffer there. Recycled buffers are already resident,
+    /// so a build over one touches no new pages.
     pub(crate) fn build_reusing(
         entries: &[(u32, u64)],
-        gap: Option<GapRequirement>,
         spare: &mut Vec<Vec<u64>>,
     ) -> Option<DensePil> {
         let (&(first, _), &(last, _)) = (entries.first()?, entries.last()?);
@@ -383,23 +365,13 @@ impl DensePil {
             }
             *slot = acc;
         }
-        let wsum = gap.map(|gap| {
-            let width = (gap.max_step() - gap.min_step() + 1) as u64;
-            let mut wsum = spare.pop().unwrap_or_default();
-            wsum.clear();
-            wsum.extend((0..=span).map(|i| psum[(i + width as usize).min(span)] - psum[i]));
-            (width, wsum)
-        });
-        Some(DensePil { base, psum, wsum })
+        Some(DensePil { base, psum })
     }
 
-    /// Consume the build, returning its buffers to `spare` for
+    /// Consume the build, returning its buffer to `spare` for
     /// [`DensePil::build_reusing`].
     pub(crate) fn recycle(self, spare: &mut Vec<Vec<u64>>) {
         spare.push(self.psum);
-        if let Some((_, wsum)) = self.wsum {
-            spare.push(wsum);
-        }
     }
 
     /// Occupied offset span (number of dense slots).
@@ -407,28 +379,15 @@ impl DensePil {
         self.psum.len() - 1
     }
 
-    /// Heap bytes held by the prefix-sum (and any windowed-sum) array.
+    /// Heap bytes held by the prefix-sum array.
     pub fn bytes(&self) -> usize {
-        let wsum = match &self.wsum {
-            Some((_, w)) => w.len(),
-            None => 0,
-        };
-        (self.psum.len() + wsum) * std::mem::size_of::<u64>()
-    }
-
-    /// First occupied offset (the dense array's origin).
-    pub(crate) fn base(&self) -> u64 {
-        self.base
+        self.psum.len() * std::mem::size_of::<u64>()
     }
 
     /// The exclusive prefix sums (`len == span + 1`).
+    #[cfg(test)]
     pub(crate) fn psum(&self) -> &[u64] {
         &self.psum
-    }
-
-    /// The windowed sums, if built, with the window width they encode.
-    pub(crate) fn wsum(&self) -> Option<(u64, &[u64])> {
-        self.wsum.as_ref().map(|(w, v)| (*w, v.as_slice()))
     }
 }
 
@@ -1047,38 +1006,16 @@ mod tests {
     fn reused_buffers_build_identical_dense_arrays() {
         // Spare buffers arrive dirty and mis-sized; the build must not
         // care, and a refused build hands its buffer back.
-        let g = gap(1, 3);
         let entries = vec![(3u32, 2u64), (5, 1), (9, 4)];
-        let mut spare = vec![vec![u64::MAX; 100], vec![7; 3]];
-        let reused = DensePil::build_reusing(&entries, Some(g), &mut spare).unwrap();
-        let fresh = DensePil::build_windowed(&entries, g).unwrap();
+        let mut spare = vec![vec![7; 3], vec![u64::MAX; 100]];
+        let reused = DensePil::build_reusing(&entries, &mut spare).unwrap();
+        let fresh = DensePil::build(&entries).unwrap();
         assert_eq!(reused.psum(), fresh.psum());
-        assert_eq!(reused.wsum(), fresh.wsum());
-        assert!(spare.is_empty());
+        assert_eq!(spare.len(), 1);
         reused.recycle(&mut spare);
         assert_eq!(spare.len(), 2);
-        assert!(DensePil::build_reusing(&[(1, u64::MAX), (2, 5)], None, &mut spare).is_none());
+        assert!(DensePil::build_reusing(&[(1, u64::MAX), (2, 5)], &mut spare).is_none());
         assert_eq!(spare.len(), 2);
-    }
-
-    #[test]
-    fn windowed_build_matches_probe_layout() {
-        let entries: Vec<(u32, u64)> = vec![(5, 2), (7, 3), (12, 1), (20, 4)];
-        let g = gap(1, 4);
-        let plain = DensePil::build(&entries).unwrap();
-        let wide = DensePil::build_windowed(&entries, g).unwrap();
-        assert_eq!(plain.span(), wide.span());
-        assert_eq!(wide.bytes(), 2 * plain.bytes(), "wsum doubles the array");
-        let (width, wsum) = wide.wsum().unwrap();
-        assert_eq!(width, 4, "gap [1,4] admits 4 window positions");
-        let psum = wide.psum();
-        let span = wide.span();
-        for i in 0..=span {
-            assert_eq!(wsum[i], psum[(i + width as usize).min(span)] - psum[i]);
-        }
-        assert!(plain.wsum().is_none());
-        // The saturation refusal carries over.
-        assert!(DensePil::build_windowed(&[(1, u64::MAX), (2, 5)], g).is_none());
     }
 
     #[test]

@@ -38,14 +38,14 @@
 //! | `pool` | `level`, `chunks`, `workers` (array of `{worker, chunks, candidates, busy_ms, idle_ms}`) |
 //! | `subtree` | `index`, `level`, `patterns`, `deepest`, `evaluated`, `frequent`, `peak_arena_bytes`, `batches`, `batch_candidates`, `elapsed_ms` |
 //! | `em` | `m`, `em`, `elapsed_ms` |
-//! | `repr` | `mode`, `dense`, `sparse`, `fallbacks` |
+//! | `repr` | `dense`, `sparse`, `fallbacks` |
 //! | `spill` | `level`, `records`, `bytes`, `live_bytes`, `watermark_bytes`, `elapsed_ms` |
 //! | `restore` | `record`, `bytes`, `patterns`, `elapsed_ms` |
 //! | `warning` | `kind`, `message` |
 //! | `query` | `kind`, `ok`, `results`, `latency_ms` |
 //! | `diff` | `new`, `dropped`, `changed`, `unchanged` |
 //! | `abort` | `message` |
-//! | `summary` | `frequent`, `levels`, `total_candidates`, `n_used`, `support_saturated`, `peak_arena_bytes`, `kernel`, `total_ms` |
+//! | `summary` | `frequent`, `levels`, `total_candidates`, `n_used`, `support_saturated`, `peak_arena_bytes`, `total_ms` |
 //!
 //! `minflt` and `sys_ms` are the process's minor page faults and kernel
 //! CPU time spent during the phase, read from `/proc/self/stat` only
@@ -114,8 +114,8 @@ pub struct LevelEvent {
     /// Join-kernel invocations in the fan-out that generated this
     /// level's members (zero for the seed level, whose PILs come from
     /// the sequence scan). Physical diagnostics: `joins`, `probed`,
-    /// `reallocs` and `bytes_moved` vary with the representation,
-    /// kernel, and batching choices — unlike the candidate counters
+    /// `reallocs` and `bytes_moved` vary with the representation and
+    /// batching choices — unlike the candidate counters
     /// they are *not* part of the engine-invariant `MineStats`.
     pub joins: u64,
     /// Probe positions scanned across those joins (left offsets walked
@@ -266,11 +266,9 @@ pub struct ShardEvent {
 /// were materialised as dense prefix-sum arrays, how many stayed
 /// sparse, and how many dense candidates fell back to sparse because
 /// their total count sum would overflow `u64`. Purely informational —
-/// mined patterns and [`crate::MineStats`] are identical across modes.
+/// mined patterns and [`crate::MineStats`] do not depend on the split.
 #[derive(Clone, Debug)]
 pub struct ReprEvent {
-    /// The configured [`crate::adaptive::PilRepr`] mode, rendered.
-    pub mode: String,
     /// Lists joined through the dense prefix-sum kernel.
     pub dense: u64,
     /// Lists joined through the sparse sliding-window kernel.
@@ -352,9 +350,6 @@ pub struct CompleteEvent {
     /// Peak arena bytes observed across the run (0 when the engine
     /// predates the gauge).
     pub peak_arena_bytes: usize,
-    /// The resolved join-kernel name (`"scalar"` / `"simd"`; empty
-    /// when the engine predates kernel selection).
-    pub kernel: String,
     /// The `k` of a top-k run; `None` on full and targeted mines. When
     /// set, `frequent` is the truncated top-k count, smaller than the
     /// per-level totals (`trace-check` relaxes its sum check on this).
@@ -379,7 +374,6 @@ impl CompleteEvent {
             n_used: outcome.stats.n_used,
             support_saturated: outcome.stats.support_saturated,
             peak_arena_bytes: 0,
-            kernel: String::new(),
             top_k: outcome.stats.top_k,
             floor_raises: outcome.stats.floor_raises,
             pruned_by_floor: outcome.stats.pruned_by_floor,
@@ -391,12 +385,6 @@ impl CompleteEvent {
     /// Attach the engine's peak arena gauge reading.
     pub fn with_peak_arena_bytes(mut self, peak: usize) -> CompleteEvent {
         self.peak_arena_bytes = peak;
-        self
-    }
-
-    /// Attach the resolved join-kernel name the run executed with.
-    pub fn with_kernel(mut self, kernel: crate::kernel::ResolvedKernel) -> CompleteEvent {
-        self.kernel = kernel.name().to_string();
         self
     }
 }
@@ -845,11 +833,8 @@ impl<W: io::Write> MineObserver for JsonlObserver<W> {
 
     fn on_repr(&mut self, e: &ReprEvent) {
         self.write_line(&format!(
-            "{{\"event\": \"repr\", \"mode\": \"{}\", \"dense\": {}, \"sparse\": {}, \"fallbacks\": {}}}",
-            escape_json(&e.mode),
-            e.dense,
-            e.sparse,
-            e.fallbacks
+            "{{\"event\": \"repr\", \"dense\": {}, \"sparse\": {}, \"fallbacks\": {}}}",
+            e.dense, e.sparse, e.fallbacks
         ));
     }
 
@@ -927,14 +912,13 @@ impl<W: io::Write> MineObserver for JsonlObserver<W> {
             let _ = write!(prune, ", \"pruned_by_target\": {}", e.pruned_by_target);
         }
         self.write_line(&format!(
-            "{{\"event\": \"summary\", \"frequent\": {}, \"levels\": {}, \"total_candidates\": {}, \"n_used\": {}, \"support_saturated\": {}, \"peak_arena_bytes\": {}, \"kernel\": \"{}\"{}, \"total_ms\": {:.3}}}",
+            "{{\"event\": \"summary\", \"frequent\": {}, \"levels\": {}, \"total_candidates\": {}, \"n_used\": {}, \"support_saturated\": {}, \"peak_arena_bytes\": {}{}, \"total_ms\": {:.3}}}",
             e.frequent,
             e.levels,
             e.total_candidates,
             e.n_used,
             e.support_saturated,
             e.peak_arena_bytes,
-            escape_json(&e.kernel),
             prune,
             ms(e.total_elapsed)
         ));
@@ -1088,8 +1072,8 @@ impl MetricsObserver {
         if let Some(r) = &self.repr {
             let _ = writeln!(
                 out,
-                "  pil repr ({}): {} dense | {} sparse | {} fallbacks",
-                r.mode, r.dense, r.sparse, r.fallbacks
+                "  pil repr: {} dense | {} sparse | {} fallbacks",
+                r.dense, r.sparse, r.fallbacks
             );
         }
         for s in &self.spills {
@@ -1150,20 +1134,14 @@ impl MetricsObserver {
             let _ = writeln!(out, "  ABORTED: {}", a.message);
         }
         if let Some(c) = &self.complete {
-            let kernel = if c.kernel.is_empty() {
-                String::new()
-            } else {
-                format!(" | {} kernel", c.kernel)
-            };
             let _ = writeln!(
                 out,
-                "  total: {} frequent over {} levels | {} candidates | n = {} | peak {} arena bytes{} | {:.3} ms{}",
+                "  total: {} frequent over {} levels | {} candidates | n = {} | peak {} arena bytes | {:.3} ms{}",
                 c.frequent,
                 c.levels,
                 c.total_candidates,
                 c.n_used,
                 c.peak_arena_bytes,
-                kernel,
                 ms(c.total_elapsed),
                 if c.support_saturated {
                     " | SUPPORT SATURATED"
@@ -1699,7 +1677,6 @@ mod tests {
             n_used: 8,
             support_saturated: false,
             peak_arena_bytes: 8192,
-            kernel: "scalar".into(),
             top_k: None,
             floor_raises: 0,
             pruned_by_floor: 0,
@@ -1755,7 +1732,6 @@ mod tests {
             elapsed: Duration::from_millis(1),
         });
         sink.on_repr(&ReprEvent {
-            mode: "auto".into(),
             dense: 30,
             sparse: 12,
             fallbacks: 1,
@@ -1782,9 +1758,8 @@ mod tests {
             text.contains("\"joins\": 60, \"probed\": 1200, \"reallocs\": 3, \"bytes_moved\": 768"),
             "{text}"
         );
-        assert!(text.contains("\"kernel\": \"scalar\""), "{text}");
         assert!(
-            text.contains("\"event\": \"repr\", \"mode\": \"auto\", \"dense\": 30"),
+            text.contains("\"event\": \"repr\", \"dense\": 30"),
             "{text}"
         );
         assert!(
@@ -2013,7 +1988,6 @@ mod tests {
         });
         m.on_level(&level_event(3));
         m.on_repr(&ReprEvent {
-            mode: "auto".into(),
             dense: 5,
             sparse: 3,
             fallbacks: 0,
@@ -2036,10 +2010,7 @@ mod tests {
         let text = m.render();
         assert!(text.contains("e_m = 42"), "{text}");
         assert!(text.contains("10 frequent"), "{text}");
-        assert!(
-            text.contains("pil repr (auto): 5 dense | 3 sparse"),
-            "{text}"
-        );
+        assert!(text.contains("pil repr: 5 dense | 3 sparse"), "{text}");
         assert!(
             text.contains("spill @ level 3: 2 records | 640 bytes"),
             "{text}"

@@ -55,8 +55,10 @@ pub const TAG_CORPUS_MANIFEST: u8 = 5;
 /// written by `perigap_core::incremental` under the same PGST
 /// conventions as [`TAG_SPILL`]: magic, version, tag byte, the cache
 /// key + cached outcome + per-level candidate maps, closed by a
-/// trailing FNV-1a digest.
-pub const TAG_RESULT_CACHE: u8 = 6;
+/// trailing FNV-1a digest. Tag 6 held the retired layout whose key
+/// also carried PIL-representation and kernel bytes; the miner refuses
+/// it.
+pub const TAG_RESULT_CACHE: u8 = 7;
 /// Sanity cap for on-disk blobs (1 GiB) — far above any real input,
 /// low enough to refuse nonsense lengths from corrupt files.
 const MAX_BLOB: u64 = 1 << 30;
@@ -677,6 +679,10 @@ mod tests {
         let mut r = Reader::new(&bytes[..]);
         assert_eq!(r.bytes(4).unwrap(), MAGIC);
         assert_eq!(r.u32().unwrap(), VERSION);
+        assert_eq!(
+            TAG_RESULT_CACHE,
+            perigap_core::incremental::TAG_RESULT_CACHE
+        );
         assert_eq!(r.u8().unwrap(), TAG_RESULT_CACHE);
         r.u64().unwrap(); // sequence hash
         assert_eq!(r.u64().unwrap(), seq.len() as u64);
@@ -687,8 +693,6 @@ mod tests {
         assert_eq!(r.u8().unwrap(), 0, "algorithm = mpp");
         assert_eq!(r.u8().unwrap(), 0, "engine = bfs");
         assert_eq!(r.u64().unwrap(), 6, "engine parameter");
-        assert!(r.u8().unwrap() <= 2, "pil-repr id");
-        assert!(r.u8().unwrap() <= 2, "kernel id");
         assert_eq!(r.u8().unwrap(), 0, "prune flag");
         r.u32().unwrap(); // start level
         r.u64().unwrap(); // max level (u64::MAX = none)

@@ -3,7 +3,7 @@
 //! requirements (including the degenerate `N == M`) and alphabets
 //! (dense-table DNA, sparse-key protein, and an odd-sized custom set).
 
-use perigap::core::adaptive::ReprCache;
+use perigap::core::adaptive::{repr_stats, ReprCache};
 use perigap::core::naive::support_dp;
 use perigap::core::pil::{
     join_dense_into, join_multi_into, DensePil, JoinCounters, MultiJoinScratch, Pil,
@@ -158,15 +158,10 @@ proptest! {
 
     #[test]
     fn batched_and_cache_dispatched_joins_agree(
-        (a, partners, (n, m), crossover) in (
+        (a, partners, (n, m)) in (
             pil_entries(),
             collection::vec(pil_entries(), 1..6),
             gap_req(),
-            (0u8..3).prop_map(|w| match w {
-                0 => 0.0f64,
-                1 => 0.25,
-                _ => 1.0,
-            }),
         )
     ) {
         let gap = GapRequirement::new(n, m).unwrap();
@@ -194,13 +189,8 @@ proptest! {
             prop_assert_eq!(scratch.saturated[j], *sat, "partner {}", j);
         }
 
-        // The adaptive cache dispatch (what the engines run), across
-        // crossover extremes: always-sparse, default, always-dense.
-        let policy = ReprPolicy {
-            crossover,
-            ..ReprPolicy::default()
-        };
-        let mut cache = ReprCache::new(policy);
+        // The occupancy-rule cache dispatch (what the engines run).
+        let mut cache = ReprCache::new();
         cache.begin(suffixes.len());
         for (j, s) in suffixes.iter().enumerate() {
             let (pil, sat) = &expected[j];
@@ -220,28 +210,18 @@ proptest! {
         }
     }
 
+    /// The occupancy rule mixes dense and sparse suffix lists; the
+    /// breadth-first and DFS engines must still match the seed
+    /// reference, whose joins are all sparse.
     #[test]
     fn mining_agrees_across_pil_repr(
-        (alpha, codes, (n, m), rho_scale, mode) in (
-            alphabet(),
-            codes(60),
-            gap_req(),
-            1usize..40,
-            (0u8..2).prop_map(|w| if w == 0 { PilRepr::Auto } else { PilRepr::Dense }),
-        )
+        (alpha, codes, (n, m), rho_scale) in (alphabet(), codes(60), gap_req(), 1usize..40)
     ) {
         let seq = Sequence::from_codes(alpha, codes).unwrap();
         let gap = GapRequirement::new(n, m).unwrap();
         let rho = rho_scale as f64 * 1e-4;
-        let sparse_config = MppConfig {
-            pil_repr: ReprPolicy::of(PilRepr::Sparse),
-            ..MppConfig::default()
-        };
-        let config = MppConfig {
-            pil_repr: ReprPolicy::of(mode),
-            ..MppConfig::default()
-        };
-        let base = mpp(&seq, gap, rho, 8, sparse_config);
+        let config = MppConfig::default();
+        let base = mpp_reference(&seq, gap, rho, 8, config.clone(), 1);
         let run = mpp(&seq, gap, rho, 8, config.clone());
         prop_assert_eq!(base.is_ok(), run.is_ok());
         let Ok(base) = base else { return Ok(()) };
@@ -257,7 +237,7 @@ proptest! {
             prop_assert_eq!(a.frequent, b.frequent, "level {}", a.level);
             prop_assert_eq!(a.extended, b.extended, "level {}", a.level);
         }
-        let dfs = mpp_dfs(&seq, gap, rho, 8, config.clone(), 2).unwrap();
+        let dfs = mpp_dfs(&seq, gap, rho, 8, config, 2).unwrap();
         prop_assert_eq!(base.frequent.len(), dfs.frequent.len());
         for (a, b) in base.frequent.iter().zip(&dfs.frequent) {
             prop_assert_eq!(&a.pattern, &b.pattern);
@@ -329,51 +309,27 @@ fn assert_outcome_invariant(a: &MineOutcome, b: &MineOutcome, label: &str) {
     }
 }
 
-// The kernel differential mines the same input up to seven times per
-// case, so it gets its own smaller budget. Every (kernel × engine ×
-// repr) combination must reproduce the scalar/sparse baseline
-// bit-for-bit — patterns, supports, and all `MineStats` counters: the
-// `--kernel` knob is pure performance. On hardware without AVX2 (or
-// under `PERIGAP_FORCE_SCALAR`) Simd resolves to the scalar fallback
-// and the test degenerates to scalar-vs-scalar, which is still the
-// contract.
+// The join-kernel differential mines the same input six times per
+// case, so it gets its own smaller budget. Each engine reaches the PILs
+// through different join kernels — the seed reference's per-candidate
+// sparse join, the batched multi-suffix walk of serial and pooled BFS
+// and of the DFS subtree tasks, and the dense prefix-sum probe wherever
+// the occupancy rule densifies a list — and every one must reproduce
+// the reference (MPP) or serial MPPm bit-for-bit: patterns, supports,
+// and all `MineStats` counters.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn mining_agrees_across_kernels(
-        (alpha, codes, (n, m), rho_scale, kernel, mode) in (
-            alphabet(),
-            codes(60),
-            gap_req(),
-            1usize..40,
-            (0u8..3).prop_map(|w| match w {
-                0 => Kernel::Scalar,
-                1 => Kernel::Simd,
-                _ => Kernel::Auto,
-            }),
-            (0u8..3).prop_map(|w| match w {
-                0 => PilRepr::Sparse,
-                1 => PilRepr::Dense,
-                _ => PilRepr::Auto,
-            }),
-        )
+        (alpha, codes, (n, m), rho_scale) in (alphabet(), codes(60), gap_req(), 1usize..40)
     ) {
         use perigap::core::mppm::{mppm, mppm_dfs};
         let seq = Sequence::from_codes(alpha, codes).unwrap();
         let gap = GapRequirement::new(n, m).unwrap();
         let rho = rho_scale as f64 * 1e-4;
-        let base_cfg = MppConfig {
-            kernel: Kernel::Scalar,
-            pil_repr: ReprPolicy::of(PilRepr::Sparse),
-            ..MppConfig::default()
-        };
-        let cfg = MppConfig {
-            kernel,
-            pil_repr: ReprPolicy::of(mode),
-            ..MppConfig::default()
-        };
-        let base = mpp(&seq, gap, rho, 8, base_cfg.clone());
+        let cfg = MppConfig::default();
+        let base = mpp_reference(&seq, gap, rho, 8, cfg.clone(), 1);
         let bfs = mpp(&seq, gap, rho, 8, cfg.clone());
         prop_assert_eq!(base.is_ok(), bfs.is_ok());
         let Ok(base) = base else { return Ok(()) };
@@ -382,11 +338,7 @@ proptest! {
         assert_outcome_invariant(&base, &par, "parallel");
         let dfs = mpp_dfs(&seq, gap, rho, 8, cfg.clone(), 2).unwrap();
         assert_outcome_invariant(&base, &dfs, "dfs");
-        let base_m = mppm(&seq, gap, rho, 4, base_cfg);
-        let run_m = mppm(&seq, gap, rho, 4, cfg.clone());
-        prop_assert_eq!(base_m.is_ok(), run_m.is_ok());
-        if let Ok(base_m) = base_m {
-            assert_outcome_invariant(&base_m, &run_m.unwrap(), "mppm");
+        if let Ok(base_m) = mppm(&seq, gap, rho, 4, cfg.clone()) {
             let dfs_m = mppm_dfs(&seq, gap, rho, 4, cfg, 2).unwrap();
             assert_outcome_invariant(&base_m, &dfs_m, "mppm dfs");
         }
@@ -414,24 +366,19 @@ fn assert_pruned_equal(
 // so it gets a small case budget. Pruned mining is an output
 // contract: whatever the engine, gap regime (rigid `W == 1`, where the
 // rising floor prunes the search itself, or flexible `W > 1`, where
-// only emission is gated), PIL repr, thread count, or memory ceiling,
+// only emission is gated), thread count, or memory ceiling,
 // the outcome must be bit-identical to post-filtering the full mine.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn topk_and_targeted_pruning_match_post_filtering(
-        (alpha, codes, (n, m), rho_scale, k, mode, mask_bits) in (
+        (alpha, codes, (n, m), rho_scale, k, mask_bits) in (
             alphabet(),
             codes(60),
             gap_req(), // biased toward N == M: both floor regimes occur
             1usize..40,
             1usize..12,
-            (0u8..3).prop_map(|w| match w {
-                0 => PilRepr::Sparse,
-                1 => PilRepr::Dense,
-                _ => PilRepr::Auto,
-            }),
             1u8..8, // symbol mask over codes {0, 1, 2}; never empty
         )
     ) {
@@ -444,10 +391,7 @@ proptest! {
         let seq = Sequence::from_codes(alpha, codes).unwrap();
         let gap = GapRequirement::new(n, m).unwrap();
         let rho = rho_scale as f64 * 1e-4;
-        let cfg = MppConfig {
-            pil_repr: ReprPolicy::of(mode),
-            ..MppConfig::default()
-        };
+        let cfg = MppConfig::default();
 
         // Top-k: every engine must reproduce `select_top_k` over the
         // full mine — same rank order, same truncation, same ratios.
@@ -561,16 +505,11 @@ proptest! {
 
     #[test]
     fn spilling_never_changes_the_mined_outcome(
-        (alpha, codes, (n, m), rho_scale, mode, watermark) in (
+        (alpha, codes, (n, m), rho_scale, watermark) in (
             alphabet(),
             codes(60),
             gap_req(),
             1usize..40,
-            (0u8..3).prop_map(|w| match w {
-                0 => PilRepr::Sparse,
-                1 => PilRepr::Dense,
-                _ => PilRepr::Auto,
-            }),
             (0u8..3).prop_map(|w| match w {
                 0 => 0.0f64,
                 1 => 0.5,
@@ -587,13 +526,8 @@ proptest! {
         let seq = Sequence::from_codes(alpha, codes).unwrap();
         let gap = GapRequirement::new(n, m).unwrap();
         let rho = rho_scale as f64 * 1e-4;
-        let repr = ReprPolicy::of(mode);
-        let unbounded_cfg = MppConfig {
-            pil_repr: repr,
-            ..MppConfig::default()
-        };
+        let unbounded_cfg = MppConfig::default();
         let spill_cfg = |cap: usize| MppConfig {
-            pil_repr: repr,
             max_arena_bytes: Some(cap),
             spill_watermark: watermark,
             spill_io: Some(Arc::new(MemSpillIo::default()) as Arc<dyn SpillIo>),
@@ -676,6 +610,14 @@ fn rho_for_partial_level6(seq: &Sequence, gap: GapRequirement) -> Option<f64> {
 // than level 6, so the recycled arenas of the dead level-5 parents hold
 // a shrinking generation. Patterns, supports, saturation and every
 // per-level counter must match serial `mpp` and the seed reference.
+// The gap is flexible and the sequence ends in an A/T-only stretch, so
+// the occupancy rule must route some suffix lists through the dense
+// probe and others through the sparse merge, in both the pooled and the
+// serial mine — otherwise the dense join would go untested at engine
+// level. (On uniform DNA a list fills at most P(first symbol) = 1/4 of
+// its span, under the rule's crossover, so every list would stay
+// sparse; the uniform three quarters keep all 256 level-4 patterns
+// alive, which level 5 needs to reach the pool.)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -685,10 +627,14 @@ proptest! {
     ) {
         use perigap::core::parallel::mpp_parallel_traced;
         use perigap::core::trace::MetricsObserver;
-        use perigap::seq::gen::iid::uniform;
+        use perigap::seq::gen::iid::{uniform, weighted};
         use rand::SeedableRng;
 
-        let seq = uniform(&mut rand::rngs::StdRng::seed_from_u64(seed), Alphabet::Dna, len);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let background = uniform(&mut rng, Alphabet::Dna, len * 3 / 4);
+        let tail = weighted(&mut rng, Alphabet::Dna, len - len * 3 / 4, &[0.7, 0.0, 0.0, 0.3]);
+        let codes = [background.codes(), tail.codes()].concat();
+        let seq = Sequence::from_codes(Alphabet::Dna, codes).unwrap();
         let gap = GapRequirement::new(0, max_step).unwrap();
         let rho = rho_for_partial_level6(&seq, gap);
         prop_assert!(rho.is_some(), "no ρ keeps a partial level 6");
@@ -696,8 +642,11 @@ proptest! {
         let config = MppConfig::default();
 
         let mut metrics = MetricsObserver::new();
+        let before = repr_stats();
         let pooled =
             mpp_parallel_traced(&seq, gap, rho, 8, config.clone(), threads, &mut metrics).unwrap();
+        let joined = repr_stats().since(before);
+        prop_assert!(joined.dense > 0 && joined.sparse > 0, "pooled: {:?}", joined);
         let pool_levels: Vec<usize> = metrics.pool.iter().map(|p| p.level).collect();
         for level in 5..=7 {
             prop_assert!(pool_levels.contains(&level), "level {} not pooled: {:?}", level, pool_levels);
@@ -705,7 +654,10 @@ proptest! {
         let at = |level: usize| pooled.stats.levels.iter().find(|l| l.level == level).unwrap();
         prop_assert!(at(7).candidates < at(6).candidates, "level 7 must shrink");
 
+        let before = repr_stats();
         let serial = mpp(&seq, gap, rho, 8, config.clone()).unwrap();
+        let joined = repr_stats().since(before);
+        prop_assert!(joined.dense > 0 && joined.sparse > 0, "serial: {:?}", joined);
         let reference = mpp_reference(&seq, gap, rho, 8, config, 1).unwrap();
         for (other, label) in [(&serial, "mpp"), (&reference, "mpp_reference")] {
             prop_assert_eq!(pooled.frequent.len(), other.frequent.len(), "{}", label);

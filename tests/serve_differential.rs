@@ -6,7 +6,9 @@
 //! Three layers of agreement are checked:
 //!
 //! 1. the mined sets themselves are identical across the breadth-first
-//!    and hybrid-DFS engines under every `--pil-repr` policy;
+//!    and hybrid-DFS engines, whose occupancy rule mixes dense and
+//!    sparse PIL joins, and the seed reference, whose joins are all
+//!    sparse;
 //! 2. the protocol transcript (raw response lines for a fixed workload)
 //!    is byte-identical no matter which variant built the index;
 //! 3. the reference transcript agrees field-by-field with answers
@@ -20,8 +22,9 @@
 use perigap::core::dfs::mpp_dfs;
 use perigap::core::mpp::{mpp, MppConfig};
 use perigap::core::naive;
+use perigap::core::reference::mpp_reference;
 use perigap::core::trace::{Json, NoopObserver};
-use perigap::core::{GapRequirement, MineOutcome, Pattern, PilRepr, ReprPolicy};
+use perigap::core::{GapRequirement, MineOutcome, Pattern};
 use perigap::seq::{Alphabet, Sequence};
 use perigap::serve::{serve_line, Client};
 use perigap::store::{LoadedOutcome, PatternIndex};
@@ -37,25 +40,23 @@ fn workload_input() -> (Sequence, GapRequirement) {
     (seq, gap)
 }
 
-/// Every engine × PIL-representation combination under test, with a
-/// label for failure messages.
+/// Every engine under test, with a label for failure messages.
 fn mine_variants(seq: &Sequence, gap: GapRequirement) -> Vec<(String, MineOutcome)> {
-    let mut out = Vec::new();
-    for repr in [PilRepr::Auto, PilRepr::Sparse, PilRepr::Dense] {
-        let config = MppConfig {
-            pil_repr: ReprPolicy::of(repr),
-            ..MppConfig::default()
-        };
-        out.push((
-            format!("bfs/{repr:?}"),
+    let config = MppConfig::default();
+    vec![
+        (
+            "bfs".to_string(),
             mpp(seq, gap, RHO, N, config.clone()).expect("bfs mine"),
-        ));
-        out.push((
-            format!("dfs/{repr:?}"),
-            mpp_dfs(seq, gap, RHO, N, config, 2).expect("dfs mine"),
-        ));
-    }
-    out
+        ),
+        (
+            "dfs".to_string(),
+            mpp_dfs(seq, gap, RHO, N, config.clone(), 2).expect("dfs mine"),
+        ),
+        (
+            "sparse reference".to_string(),
+            mpp_reference(seq, gap, RHO, N, config, 1).expect("reference mine"),
+        ),
+    ]
 }
 
 /// Canonical form of a mined set for cross-engine comparison: sorted by
