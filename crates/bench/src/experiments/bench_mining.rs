@@ -528,9 +528,12 @@ fn engine_comparison(seq: &perigap_seq::Sequence, gap: GapRequirement, reps: usi
                     && a.extended == b.extended
             });
     assert!(counters_identical, "engines disagree on stats counters");
+    // BFS drops the PILs the next level cannot join as each candidate
+    // is born, as DFS does, so its two-generation peak stays at or
+    // below DFS's.
     assert!(
-        dfs_peak < bfs_peak,
-        "dfs peak {dfs_peak} must be strictly below bfs peak {bfs_peak}"
+        bfs_peak <= dfs_peak,
+        "bfs peak {bfs_peak} must not exceed dfs peak {dfs_peak}"
     );
     println!(
         "  bfs {:.1} ms peak {} B | dfs {:.1} ms peak {} B | peak ratio {:.2}x",

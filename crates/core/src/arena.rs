@@ -6,11 +6,16 @@
 //! This module replaces both with one structure per generation:
 //!
 //! - [`PilSet`] holds every pattern of a generation in flat arrays —
-//!   concatenated pattern codes (stride = level) and entry arenas with
-//!   a per-pattern `(arena, range)` span. A serially built generation
-//!   has one arena; a pooled one keeps the arena each worker wrote, so
-//!   assembling it moves buffers instead of copying entries. Patterns
-//!   are kept in lexicographic code order.
+//!   concatenated pattern codes (stride = level), each pattern's
+//!   support, and entry arenas with a per-pattern `(arena, range)`
+//!   span. A serially built generation has one arena; a pooled one
+//!   keeps the arena each worker wrote, so assembling it moves buffers
+//!   instead of copying entries. Patterns are kept in lexicographic
+//!   code order.
+//! - A generation written under a *keep floor* (see
+//!   [`PilSet::set_keep_floor`]) stores entries only for the patterns
+//!   the next level can join: the support is summed when a span closes,
+//!   and a span below the floor is truncated back to its start.
 //! - [`build_seed`] seeds a level directly into a [`PilSet`] using the
 //!   packed keys of [`crate::packed::KeyCodec`]: for small alphabets a
 //!   dense `σ`-ary table indexed by key absorbs every scan event with
@@ -60,8 +65,13 @@ struct Span {
 /// [`PilSet::concat`] keeps the arenas its parts were written into
 /// (one per pool worker in [`crate::parallel`]) and records a span per
 /// pattern — assembling a generation moves arenas and copies only
-/// codes and spans. Equality is logical: patterns, entries and the
-/// saturation flag, never the arena layout.
+/// codes, supports and spans. Equality is logical: patterns, supports,
+/// entries and the saturation flag, never the arena layout.
+///
+/// Each pattern's support is recorded when its span closes, while the
+/// entries are still in cache, so [`PilSet::support`] is a read. A span
+/// whose support is below the set's keep floor is truncated back to its
+/// start: the pattern keeps its codes and support but holds no entries.
 #[derive(Clone, Debug)]
 pub(crate) struct PilSet {
     level: usize,
@@ -70,6 +80,12 @@ pub(crate) struct PilSet {
     codes: Vec<u8>,
     /// Pattern `i`'s PIL is `spans[i]` into `arenas`.
     spans: Vec<Span>,
+    /// `supports[i]` is pattern `i`'s support (Property 1), summed from
+    /// its entries before any truncation.
+    supports: Vec<u128>,
+    /// Spans closing with a support below this keep no entries; 0 (the
+    /// default) keeps every entry.
+    floor: u128,
     /// The `(first offset, count)` arenas; never empty. Pushes append to
     /// the last one.
     arenas: Vec<Vec<(u32, u64)>>,
@@ -90,6 +106,7 @@ impl PartialEq for PilSet {
             && self.len() == other.len()
             && self.saturated == other.saturated
             && self.codes == other.codes
+            && self.supports == other.supports
             && (0..self.len()).all(|i| self.entries(i) == other.entries(i))
     }
 }
@@ -103,16 +120,26 @@ impl PilSet {
 
     /// An empty set writing into `arena`, whose allocation is reused —
     /// the recycling path of the double-buffered pooled driver. Any
-    /// entries the arena still holds are discarded.
+    /// entries the arena still holds are discarded; the keep floor is 0.
     pub(crate) fn with_arena(level: usize, mut arena: Vec<(u32, u64)>) -> PilSet {
         arena.clear();
         PilSet {
             level,
             codes: Vec::new(),
             spans: Vec::new(),
+            supports: Vec::new(),
+            floor: 0,
             arenas: vec![arena],
             saturated: false,
         }
+    }
+
+    /// Keep entries only for patterns pushed from now on whose support
+    /// is at least `floor`. The breadth-first drivers set it to the next
+    /// level's L̂ threshold, so every pattern the next level joins keeps
+    /// its PIL and every other one is stored as codes and support only.
+    pub(crate) fn set_keep_floor(&mut self, floor: u128) {
+        self.floor = floor;
     }
 
     /// Consume the set, handing back its arenas for reuse.
@@ -138,12 +165,13 @@ impl PilSet {
         self.arenas.iter().map(Vec::len).sum()
     }
 
-    /// Approximate heap bytes held by the generation: codes, spans and
-    /// the live entries of every arena.
+    /// Approximate heap bytes held by the generation: codes, spans,
+    /// supports and the live entries of every arena.
     pub(crate) fn arena_bytes(&self) -> usize {
         self.codes.len()
             + self.entry_count() * std::mem::size_of::<(u32, u64)>()
             + self.spans.len() * std::mem::size_of::<Span>()
+            + self.supports.len() * std::mem::size_of::<u128>()
     }
 
     pub(crate) fn level(&self) -> usize {
@@ -164,7 +192,8 @@ impl PilSet {
         &self.codes[i * self.level..(i + 1) * self.level]
     }
 
-    /// Pattern `i`'s PIL entries.
+    /// Pattern `i`'s PIL entries — empty when the pattern closed below
+    /// the keep floor.
     #[inline]
     pub(crate) fn entries(&self, i: usize) -> &[(u32, u64)] {
         let s = self.spans[i];
@@ -172,15 +201,14 @@ impl PilSet {
     }
 
     /// `sup` of pattern `i` (Property 1: sum of counts).
+    #[inline]
     pub(crate) fn support(&self, i: usize) -> u128 {
-        self.entries(i)
-            .iter()
-            .fold(0u128, |acc, &(_, y)| acc.saturating_add(y as u128))
+        self.supports[i]
     }
 
     /// Largest support over all stored patterns (0 when empty).
     pub(crate) fn max_support(&self) -> u128 {
-        (0..self.len()).map(|i| self.support(i)).max().unwrap_or(0)
+        self.supports.iter().copied().max().unwrap_or(0)
     }
 
     /// The arena pushes append to, with its current length (the start
@@ -195,11 +223,20 @@ impl PilSet {
     }
 
     /// Close the pattern whose entries were appended to the tail arena
-    /// from `start` on.
+    /// from `start` on: record its support, and drop the entries again
+    /// when that support is below the keep floor.
     #[inline]
     fn close_span(&mut self, start: usize) {
         let arena = self.arenas.len() - 1;
-        let len = self.arenas[arena].len() - start;
+        let tail = &mut self.arenas[arena];
+        let sup = tail[start..]
+            .iter()
+            .fold(0u128, |acc, &(_, y)| acc.saturating_add(y as u128));
+        self.supports.push(sup);
+        if sup < self.floor {
+            tail.truncate(start);
+        }
+        let len = tail.len() - start;
         self.spans.push(Span {
             start,
             len: u32::try_from(len).expect("a PIL holds at most one entry per u32 offset"),
@@ -276,9 +313,9 @@ impl PilSet {
         self.close_span(start);
     }
 
-    /// Drop all patterns and set a new level, keeping the largest arena
-    /// allocation as the write arena — the serial engine reuses one
-    /// output set across levels this way.
+    /// Drop all patterns, clear the keep floor and set a new level,
+    /// keeping the largest arena allocation as the write arena — the
+    /// serial engine reuses one output set across levels this way.
     pub(crate) fn reset(&mut self, level: usize) {
         let biggest = (0..self.arenas.len())
             .max_by_key(|&a| self.arenas[a].capacity())
@@ -289,6 +326,8 @@ impl PilSet {
         self.level = level;
         self.codes.clear();
         self.spans.clear();
+        self.supports.clear();
+        self.floor = 0;
         self.saturated = false;
     }
 
@@ -296,7 +335,8 @@ impl PilSet {
     /// in output order — of `parts`. Every pattern of every part must
     /// appear in exactly one piece, and the pieces must hold ascending,
     /// disjoint code ranges. The parts' arenas move into the result
-    /// unchanged; only codes and spans are copied.
+    /// unchanged; only codes, spans and supports are copied. The result
+    /// has keep floor 0.
     pub(crate) fn gather(
         level: usize,
         parts: Vec<PilSet>,
@@ -306,6 +346,8 @@ impl PilSet {
             level,
             codes: Vec::new(),
             spans: Vec::new(),
+            supports: Vec::new(),
+            floor: 0,
             arenas: Vec::new(),
             saturated: false,
         };
@@ -315,12 +357,13 @@ impl PilSet {
             let base = out.arenas.len() as u32;
             out.arenas.extend(part.arenas);
             out.saturated |= part.saturated;
-            heads.push((base, part.codes, part.spans));
+            heads.push((base, part.codes, part.spans, part.supports));
         }
         for (p, range) in pieces {
-            let (base, codes, spans) = &heads[p];
+            let (base, codes, spans, supports) = &heads[p];
             out.codes
                 .extend_from_slice(&codes[range.start * level..range.end * level]);
+            out.supports.extend_from_slice(&supports[range.clone()]);
             out.spans.extend(spans[range].iter().map(|s| Span {
                 arena: s.arena + base,
                 ..*s
@@ -328,7 +371,7 @@ impl PilSet {
         }
         debug_assert_eq!(
             out.spans.len(),
-            heads.iter().map(|(_, _, s)| s.len()).sum::<usize>(),
+            heads.iter().map(|(_, _, s, _)| s.len()).sum::<usize>(),
             "pieces must cover every part exactly"
         );
         if out.arenas.is_empty() {
@@ -899,6 +942,88 @@ mod tests {
     }
 
     #[test]
+    fn keep_floor_drops_exactly_the_entries_below_it() {
+        // The same parents joined with and without a floor: identical
+        // codes, supports and flag; entries gone exactly where the
+        // support is under the floor.
+        let s = dna(&"ACGTTGCAACGTTACGGTCA".repeat(6));
+        let g = gap(0, 3);
+        let set = build_seed(&s, g, 3);
+        let n = set.len();
+        let mut full = PilSet::new(4);
+        chunk_into(&set, g, 0, n, &mut full);
+        let mut sups = full.supports.clone();
+        sups.sort_unstable();
+        let floor = sups[sups.len() / 2];
+        assert!(sups[0] < floor, "both sides of the floor are populated");
+        let floored_chunk = |lo: usize, hi: usize, out: &mut PilSet| {
+            out.set_keep_floor(floor);
+            chunk_into(&set, g, lo, hi, out);
+        };
+        let mut floored = PilSet::new(4);
+        floored_chunk(0, n, &mut floored);
+        assert_eq!(floored.codes, full.codes);
+        assert_eq!(floored.supports, full.supports);
+        assert_eq!(floored.saturated(), full.saturated());
+        assert_eq!(floored.max_support(), full.max_support());
+        for i in 0..full.len() {
+            let kept = floored.entries(i);
+            if full.support(i) < floor {
+                assert!(kept.is_empty(), "pattern {i} is below the floor");
+            } else {
+                assert_eq!(kept, full.entries(i), "pattern {i} keeps its PIL");
+            }
+        }
+        assert!(floored.entry_count() < full.entry_count());
+        assert_ne!(floored, full, "equality compares entries");
+        // The gauge counts codes, spans, supports and surviving entries.
+        let per_pattern = 4 + std::mem::size_of::<Span>() + std::mem::size_of::<u128>();
+        let entry = std::mem::size_of::<(u32, u64)>();
+        assert_eq!(
+            floored.arena_bytes(),
+            floored.len() * per_pattern + floored.entry_count() * entry
+        );
+
+        // `gather` and `concat` carry supports with their spans.
+        let mid = n / 2;
+        let (mut a, mut b) = (PilSet::new(4), PilSet::new(4));
+        floored_chunk(mid, n, &mut a);
+        let split = a.len();
+        floored_chunk(0, mid, &mut a);
+        floored_chunk(mid, mid, &mut b);
+        let a_len = a.len();
+        let gathered = PilSet::gather(4, vec![a, b], [(0, split..a_len), (1, 0..0), (0, 0..split)]);
+        assert_eq!(gathered, floored);
+        let (mut lo, mut hi) = (PilSet::new(4), PilSet::new(4));
+        floored_chunk(0, mid, &mut lo);
+        floored_chunk(mid, n, &mut hi);
+        assert_eq!(PilSet::concat(4, [lo, hi]), floored);
+
+        // `reset` and `with_arena` clear the floor and the supports.
+        let mut reused = floored.clone();
+        reused.reset(4);
+        assert!(reused.supports.is_empty());
+        chunk_into(&set, g, 0, n, &mut reused);
+        assert_eq!(reused, full);
+        let arena = floored.into_arenas().swap_remove(0);
+        let mut recycled = PilSet::with_arena(4, arena);
+        assert!(recycled.supports.is_empty());
+        chunk_into(&set, g, 0, n, &mut recycled);
+        assert_eq!(recycled, full);
+
+        // Supports alone tell sets apart: a truncated pattern keeps its
+        // support, one pushed with no entries has support 0.
+        let mut truncated = PilSet::new(3);
+        truncated.set_keep_floor(u128::MAX);
+        truncated.push_pattern(&[0, 1, 2], &[(1, 5)]);
+        let mut empty = PilSet::new(3);
+        empty.push_pattern(&[0, 1, 2], &[]);
+        assert_eq!(truncated.entries(0), empty.entries(0));
+        assert_eq!((truncated.support(0), empty.support(0)), (5, 0));
+        assert_ne!(truncated, empty);
+    }
+
+    #[test]
     fn recycled_arenas_carry_no_stale_entries() {
         // A large generation's arenas, recycled to hold a smaller one,
         // keep their allocation but none of their old entries.
@@ -947,6 +1072,20 @@ mod tests {
         assert!(set.saturated());
         assert!(set.entry_count() > 0);
         assert!(set.arena_bytes() > 0);
+        // The flag survives a floor that drops the entries.
+        let mut dropped = PilSet::new(3);
+        dropped.set_keep_floor(u128::MAX);
+        dropped.push_candidate(
+            &[0, 0],
+            0,
+            &prefix,
+            &suffix,
+            g,
+            &mut JoinCounters::default(),
+        );
+        assert!(dropped.saturated());
+        assert_eq!(dropped.entry_count(), 0);
+        assert_eq!(dropped.support(0), set.support(0));
         // concat carries the flag; reset clears it.
         let clean = PilSet::new(3);
         assert!(!clean.saturated());

@@ -64,7 +64,7 @@ use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
 use crate::spill::{self, SpillState};
 use crate::trace::{
     AbortEvent, CompleteEvent, LevelEvent, MineObserver, NoopObserver, PoolLevelEvent,
-    ResourceMeter, RestoreEvent, SeedEvent, SpillEvent, SubtreeEvent, WarningEvent,
+    ProcCounters, ResourceMeter, RestoreEvent, SeedEvent, SpillEvent, SubtreeEvent, WarningEvent,
 };
 use perigap_math::BigRatio;
 use perigap_seq::Sequence;
@@ -106,13 +106,14 @@ pub fn mpp_dfs_traced<O: MineObserver>(
     let seed_started = Instant::now();
     let mut meter = ResourceMeter::start(observer);
     let pils = build_seed(seq, gap, config.start_level);
-    let (minflt, sys) = meter.lap();
+    let ProcCounters { minflt, user, sys } = meter.lap();
     observer.on_seed(&SeedEvent {
         level: config.start_level,
         patterns: pils.len(),
         pil_entries: pils.entry_count(),
         arena_bytes: pils.arena_bytes(),
         minflt,
+        user,
         sys,
         elapsed: seed_started.elapsed(),
     });
@@ -339,8 +340,8 @@ fn eager_generate(
             st.saturated |= bufs.sat[j];
             let entries = &bufs.outs[j];
             let sup: u128 = entries.iter().map(|&(_, c)| c as u128).sum();
-            let mut admitted_exact = row.exact.admits_u128(sup);
-            let mut admitted_lhat = row.lhat.admits_u128(sup);
+            let mut admitted_exact = sup >= row.exact_min;
+            let mut admitted_lhat = sup >= row.lhat_min;
             if (admitted_exact || admitted_lhat) && !pruner.admits_search(sup) {
                 continue;
             }
@@ -766,7 +767,7 @@ fn descend_split(
     }
     let gen_started = Instant::now();
     let mut next = PilSet::new(level + 1);
-    let row = ctx.bounds.row(level + 1).clone();
+    let row = *ctx.bounds.row(level + 1);
     let st = eager_generate(
         set,
         members,
@@ -839,7 +840,7 @@ fn mine_chain(
         }
         let gen_started = Instant::now();
         let mut next = PilSet::new(level + 1);
-        let row = ctx.bounds.row(level + 1).clone();
+        let row = *ctx.bounds.row(level + 1);
         let st = eager_generate(
             &current,
             &members,
@@ -956,13 +957,13 @@ pub(crate) fn run_hybrid<O: MineObserver>(
         // Seed filter — the only level whose members were not already
         // evaluated at generation time.
         let filter_started = Instant::now();
-        let row = bounds.row(start).clone();
+        let row = *bounds.row(start);
         let mut kept: Vec<usize> = Vec::new();
         let mut frequent_here = 0usize;
         for i in 0..current.len() {
             let sup = current.support(i);
-            let admits_exact = row.exact.admits_u128(sup);
-            let admits_lhat = row.lhat.admits_u128(sup);
+            let admits_exact = sup >= row.exact_min;
+            let admits_lhat = sup >= row.lhat_min;
             if (admits_exact || admits_lhat) && !pruner.admits_search(sup) {
                 continue;
             }
@@ -1018,7 +1019,7 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                 // Only the main thread has grown the gauge so far, so
                 // `live == cur_bytes` here and the spill decision is
                 // deterministic across thread counts.
-                let first_row = bounds.row(level + 1).clone();
+                let first_row = *bounds.row(level + 1);
                 let spilling = spill_io.is_some()
                     && watermark_bytes.is_some_and(|wm| live.load(Ordering::Relaxed) >= wm);
                 let (tasks, spill_state): (Vec<DfsTask>, Option<SpillState>) = if spilling {
@@ -1164,7 +1165,7 @@ pub(crate) fn run_hybrid<O: MineObserver>(
             // One component: eager-generate the next level, pooled when
             // the fan-out is wide enough to pay for chunk handoff.
             let gen_started = Instant::now();
-            let first_row = bounds.row(level + 1).clone();
+            let first_row = *bounds.row(level + 1);
             let (next, mut agg) = match &pool {
                 Some(pool) if kept.len() >= PARALLEL_THRESHOLD => {
                     let chunk = kept
@@ -1300,6 +1301,7 @@ pub(crate) fn run_hybrid<O: MineObserver>(
             // Subtree tasks interleave levels across workers, so no
             // per-level fault or kernel-time window exists here.
             minflt: 0,
+            user: Duration::ZERO,
             sys: Duration::ZERO,
             join_elapsed: agg.join_elapsed,
             elapsed: agg.elapsed,

@@ -75,7 +75,7 @@
 use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::lambda::BoundTable;
+use crate::lambda::{BoundRow, BoundTable};
 use crate::mpp::MppConfig;
 use crate::pattern::Pattern;
 use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
@@ -1117,28 +1117,17 @@ fn cascade(
         if counts.n(level).is_zero() {
             break;
         }
-        let row = bounds.row(level).clone();
-        // Thresholds hoisted to plain integers: `admits(sup)` is
-        // `sup ≥ min_support`, and one ceil per level replaces two
-        // big-rational products per candidate. The `None` (overflow)
-        // arm cannot fire for any support a sequence can produce, but
-        // falls back to the exact test rather than assume it.
-        let n_f64 = row.n_f64;
-        let t_exact = row.exact.min_support().to_u128();
-        let t_lhat = row.lhat.min_support().to_u128();
-        let exact_admits = |sup: u128| match t_exact {
-            Some(t) => sup >= t,
-            None => row.exact.admits_u128(sup),
-        };
-        let lhat_admits = |sup: u128| match t_lhat {
-            Some(t) => sup >= t,
-            None => row.lhat.admits_u128(sup),
-        };
+        let &BoundRow {
+            exact_min,
+            lhat_min,
+            n_f64,
+            ..
+        } = bounds.row(level);
         let mut kept: Vec<&Vec<u8>> = Vec::new();
         let mut frequent_here = 0usize;
         for (codes, sup) in current.iter() {
             let sup = *sup;
-            if exact_admits(sup) {
+            if sup >= exact_min {
                 frequent.push(FrequentPattern {
                     pattern: Pattern::from_codes(codes.clone()),
                     support: sup,
@@ -1146,7 +1135,7 @@ fn cascade(
                 });
                 frequent_here += 1;
             }
-            if lhat_admits(sup) {
+            if sup >= lhat_min {
                 kept.push(codes);
             }
         }
@@ -1172,14 +1161,10 @@ fn cascade(
         // parents whose join products the cached next level covers.
         let old_kept: HashSet<&[u8]> = match old_levels.get(&level) {
             Some(lv) if old_len > 0 => {
-                let old_row = bounds_old.row(level);
-                let t_old = old_row.lhat.min_support().to_u128();
+                let old_lhat_min = bounds_old.row(level).lhat_min;
                 lv.candidates
                     .iter()
-                    .filter(|(_, sup)| match t_old {
-                        Some(t) => *sup >= t,
-                        None => old_row.lhat.admits_u128(*sup),
-                    })
+                    .filter(|(_, sup)| *sup >= old_lhat_min)
                     .map(|(codes, _)| codes.as_slice())
                     .collect()
             }
@@ -1626,6 +1611,7 @@ pub fn mine_incremental<O: MineObserver>(
                                 pil_entries: 0,
                                 arena_bytes: 0,
                                 minflt: 0,
+                                user: Duration::ZERO,
                                 sys: Duration::ZERO,
                                 elapsed: Duration::ZERO,
                             });
@@ -1644,6 +1630,7 @@ pub fn mine_incremental<O: MineObserver>(
                             reallocs: 0,
                             bytes_moved: 0,
                             minflt: 0,
+                            user: Duration::ZERO,
                             sys: Duration::ZERO,
                             join_elapsed: Duration::ZERO,
                             elapsed: stats.elapsed,
@@ -1827,6 +1814,7 @@ fn emit_synthetic_trace<O: MineObserver>(
         pil_entries: 0,
         arena_bytes: 0,
         minflt: 0,
+        user: Duration::ZERO,
         sys: Duration::ZERO,
         elapsed: Duration::ZERO,
     });
@@ -1845,6 +1833,7 @@ fn emit_synthetic_trace<O: MineObserver>(
             reallocs: 0,
             bytes_moved: 0,
             minflt: 0,
+            user: Duration::ZERO,
             sys: Duration::ZERO,
             join_elapsed: Duration::ZERO,
             elapsed: Duration::ZERO,

@@ -143,18 +143,30 @@ impl PruneBound {
     }
 }
 
-/// One level's worth of prune machinery: the exact frequency test, the
-/// Theorem 1 look-ahead bound toward level `n`, and `N_l` as `f64` for
-/// ratio reporting.
-#[derive(Clone)]
+/// One level's worth of prune machinery: the exact frequency test and
+/// the Theorem 1 look-ahead bound toward level `n`, each as an integer
+/// support threshold, and `N_l` as `f64` for ratio reporting.
+///
+/// A bound admits `sup` exactly when `sup ≥ min_support()`, so one
+/// ceiling per row replaces two big-integer products per pattern. A
+/// minimum beyond `u128` is stored as `u128::MAX`, which no support
+/// reaches (a PIL sums at most 2^32 `u64` counts).
+#[derive(Clone, Copy)]
 pub(crate) struct BoundRow {
-    /// `sup ≥ ρ·N_l` — decides frequency at this level.
-    pub exact: PruneBound,
-    /// `sup·W^(n−l) ≥ ρ·N_n` — decides extension toward level `n`
-    /// (collapses to `exact` once `l ≥ n`).
-    pub lhat: PruneBound,
+    /// `sup ≥ exact_min` ⇔ `sup ≥ ρ·N_l` — decides frequency at this
+    /// level.
+    pub exact_min: u128,
+    /// `sup ≥ lhat_min` ⇔ `sup·W^(n−l) ≥ ρ·N_n` — decides extension
+    /// toward level `n` (equals `exact_min` once `l ≥ n`).
+    pub lhat_min: u128,
     /// `N_l` as `f64`, the ratio denominator.
     pub n_f64: f64,
+}
+
+/// `bound.min_support()` as a `u128` threshold, saturating at
+/// `u128::MAX`.
+fn min_u128(bound: &PruneBound) -> u128 {
+    bound.min_support().to_u128().unwrap_or(u128::MAX)
 }
 
 /// Lazily built per-level [`BoundRow`] table, shared by the BFS and DFS
@@ -193,12 +205,26 @@ impl<'a> BoundTable<'a> {
                 exact.clone()
             };
             self.rows[level] = Some(BoundRow {
-                exact,
-                lhat,
+                exact_min: min_u128(&exact),
+                lhat_min: min_u128(&lhat),
                 n_f64: self.counts.n_f64(level),
             });
         }
         self.rows[level].as_ref().expect("row just built")
+    }
+
+    /// The keep floor for a generation of length-`level` patterns (see
+    /// `PilSet::set_keep_floor`): the L̂ threshold its filter will
+    /// apply, or `u128::MAX` when the generation is never joined —
+    /// `level ≥ hard_cap` or `N_level = 0`. Exact, because
+    /// `lhat.admits_u128(sup) ⇔ sup ≥ lhat_min`: every pattern the
+    /// filter keeps still has its entries.
+    pub fn keep_floor(&mut self, level: usize, hard_cap: usize) -> u128 {
+        if level >= hard_cap || self.counts.n(level).is_zero() {
+            u128::MAX
+        } else {
+            self.row(level).lhat_min
+        }
     }
 }
 
@@ -346,6 +372,22 @@ mod tests {
         assert!(b2.min_support() >= b1.min_support());
     }
 
+    /// A row's exact and L̂ bounds, built directly.
+    fn direct_bounds(
+        c: &OffsetCounts,
+        rho: &BigRatio,
+        n: usize,
+        level: usize,
+    ) -> (PruneBound, PruneBound) {
+        let exact = PruneBound::exact(c, rho, level);
+        let lhat = if level < n {
+            PruneBound::theorem1(c, rho, n, n - level)
+        } else {
+            exact.clone()
+        };
+        (exact, lhat)
+    }
+
     #[test]
     fn bound_table_rows_match_direct_construction() {
         let c = counts(500, 2, 5);
@@ -353,21 +395,75 @@ mod tests {
         let n = 8;
         let mut table = BoundTable::new(&c, &rho, n);
         for level in [3usize, 5, 8, 10, 3] {
-            let row = table.row(level);
-            let exact = PruneBound::exact(&c, &rho, level);
+            let row = *table.row(level);
+            let (exact, lhat) = direct_bounds(&c, &rho, n, level);
             assert_eq!(
-                row.exact.min_support(),
-                exact.min_support(),
+                Some(row.exact_min),
+                exact.min_support().to_u128(),
                 "level {level}"
             );
-            let lhat = if level < n {
-                PruneBound::theorem1(&c, &rho, n, n - level)
-            } else {
-                exact
-            };
-            assert_eq!(row.lhat.min_support(), lhat.min_support(), "level {level}");
+            assert_eq!(
+                Some(row.lhat_min),
+                lhat.min_support().to_u128(),
+                "level {level}"
+            );
             assert!((row.n_f64 - c.n_f64(level)).abs() <= row.n_f64.abs() * 1e-12);
         }
+    }
+
+    #[test]
+    fn integer_thresholds_decide_like_the_exact_bounds() {
+        // `sup >= *_min` must agree with the big-rational test on both
+        // sides of every row's threshold, across flexible, rigid and
+        // wide gaps and thresholds from tiny to 1.
+        let configs: [(usize, (usize, usize), f64, usize); 5] = [
+            (1000, (9, 12), 0.00003, 13),
+            (10_000, (0, 9), 0.00003, 8),
+            (500, (2, 5), 0.001, 8),
+            (2000, (0, 0), 0.01, 6),
+            (300, (1, 3), 0.5, 20),
+        ];
+        for (len, (gn, gm), rho, n) in configs {
+            let c = counts(len, gn, gm);
+            let rho = BigRatio::from_f64_exact(rho);
+            let mut table = BoundTable::new(&c, &rho, n);
+            for level in 1..=c.l2().min(40) {
+                let row = *table.row(level);
+                let (exact, lhat) = direct_bounds(&c, &rho, n, level);
+                for (min, bound) in [(row.exact_min, exact), (row.lhat_min, lhat)] {
+                    assert_ne!(min, u128::MAX, "level {level}: minimum fits u128");
+                    for sup in [min.saturating_sub(1), min, min + 1] {
+                        assert_eq!(
+                            sup >= min,
+                            bound.admits_u128(sup),
+                            "L={len} gap [{gn},{gm}] level {level} sup {sup}"
+                        );
+                    }
+                }
+            }
+        }
+        // ρ = 1 at gap [0,9] over L = 1000: N_l passes 2^128 near
+        // l = 40, so those rows' minimum saturates and admits nothing.
+        let c = counts(1000, 0, 9);
+        let rho = BigRatio::one();
+        let mut table = BoundTable::new(&c, &rho, 60);
+        let mut saturated = 0;
+        for level in 1..=60 {
+            let row = *table.row(level);
+            let (exact, lhat) = direct_bounds(&c, &rho, 60, level);
+            for (min, bound) in [(row.exact_min, exact), (row.lhat_min, lhat)] {
+                if bound.min_support().to_u128().is_some() {
+                    continue;
+                }
+                saturated += 1;
+                assert_eq!(min, u128::MAX, "level {level}");
+                for sup in [0, u128::from(u64::MAX), 1u128 << 96, u128::MAX - 1] {
+                    assert!(sup < min, "level {level}: {sup} passes the integer test");
+                    assert!(!bound.admits_u128(sup), "level {level}: {sup} admitted");
+                }
+            }
+        }
+        assert!(saturated > 0, "some row must exceed u128");
     }
 
     #[test]

@@ -12,13 +12,14 @@ use crate::arena::{build_seed, generate_candidates, prefix_runs, PilSet};
 use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::lambda::BoundTable;
+use crate::lambda::{BoundRow, BoundTable};
 use crate::pattern::Pattern;
 use crate::pil::JoinCounters;
 use crate::prune::{PruneMode, Pruner};
 use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
 use crate::trace::{
-    AbortEvent, CompleteEvent, LevelEvent, MineObserver, NoopObserver, ResourceMeter, SeedEvent,
+    AbortEvent, CompleteEvent, LevelEvent, MineObserver, NoopObserver, ProcCounters, ResourceMeter,
+    SeedEvent,
 };
 use perigap_math::BigRatio;
 use perigap_seq::Sequence;
@@ -109,13 +110,14 @@ pub fn mpp_traced<O: MineObserver>(
     let seed_started = Instant::now();
     let mut meter = ResourceMeter::start(observer);
     let pils = build_seed(seq, gap, config.start_level);
-    let (minflt, sys) = meter.lap();
+    let ProcCounters { minflt, user, sys } = meter.lap();
     observer.on_seed(&SeedEvent {
         level: config.start_level,
         patterns: pils.len(),
         pil_entries: pils.entry_count(),
         arena_bytes: pils.arena_bytes(),
         minflt,
+        user,
         sys,
         elapsed: seed_started.elapsed(),
     });
@@ -180,7 +182,9 @@ pub(crate) fn prepare(
 /// generation against the exact and Theorem 1 bounds, then generates
 /// the next generation by run-detection over the sorted survivors
 /// (Section 5.1's `Gen(L̂)` without any hashing — see
-/// [`crate::arena`]). A level's [`LevelStats::elapsed`] covers the
+/// [`crate::arena`]). The next generation is written under its own L̂
+/// keep floor, so only the candidates that level can join keep their
+/// PILs. A level's [`LevelStats::elapsed`] covers the
 /// whole level: filtering *and* the join fan-out that produces the next
 /// generation.
 ///
@@ -233,14 +237,19 @@ pub(crate) fn run_levelwise<O: MineObserver>(
         if counts.n(level).is_zero() {
             break;
         }
-        let row = bounds.row(level);
+        let &BoundRow {
+            exact_min,
+            lhat_min,
+            n_f64,
+            ..
+        } = bounds.row(level);
 
         kept.clear();
         let mut frequent_here = 0usize;
         for i in 0..current.len() {
             let sup = current.support(i);
-            let admits_exact = row.exact.admits_u128(sup);
-            let admits_lhat = row.lhat.admits_u128(sup);
+            let admits_exact = sup >= exact_min;
+            let admits_lhat = sup >= lhat_min;
             if (admits_exact || admits_lhat) && !pruner.admits_search(sup) {
                 continue;
             }
@@ -248,7 +257,7 @@ pub(crate) fn run_levelwise<O: MineObserver>(
                 frequent.push(FrequentPattern {
                     pattern: Pattern::from_codes(current.pattern_codes(i).to_vec()),
                     support: sup,
-                    ratio: sup as f64 / row.n_f64,
+                    ratio: sup as f64 / n_f64,
                 });
                 frequent_here += 1;
             }
@@ -274,7 +283,7 @@ pub(crate) fn run_levelwise<O: MineObserver>(
                 extended,
                 elapsed,
             });
-            let (minflt, sys) = meter.lap();
+            let ProcCounters { minflt, user, sys } = meter.lap();
             observer.on_level(&LevelEvent {
                 level,
                 candidates: candidates_at_level,
@@ -289,6 +298,7 @@ pub(crate) fn run_levelwise<O: MineObserver>(
                 reallocs: jc.reallocs,
                 bytes_moved: jc.bytes_moved,
                 minflt,
+                user,
                 sys,
                 join_elapsed,
                 elapsed,
@@ -313,6 +323,7 @@ pub(crate) fn run_levelwise<O: MineObserver>(
         let join_started = Instant::now();
         let runs = prefix_runs(&current, &kept);
         next.reset(level + 1);
+        next.set_keep_floor(bounds.keep_floor(level + 1, hard_cap));
         repr.begin(current.len());
         let mut jc = JoinCounters::default();
         generate_candidates(
@@ -586,6 +597,41 @@ mod tests {
         let capped = mpp(&s, g, 0.0005, 10, roomy).unwrap();
         let free = mpp(&s, g, 0.0005, 10, MppConfig::default()).unwrap();
         assert_eq!(capped.frequent, free.frequent);
+    }
+
+    #[test]
+    fn ceiling_gauge_is_exact_on_the_serial_path() {
+        // The serial twin of the pooled gauge test: parent + child are
+        // exactly the bytes held, so the unbounded run's peak is itself
+        // an admissible ceiling and one byte less aborts.
+        use crate::trace::{validate_trace, JsonlObserver, MetricsObserver};
+        let s = uniform(&mut StdRng::seed_from_u64(17), Alphabet::Dna, 400);
+        let (g, rho) = (gap(0, 3), 0.0005);
+        let capped = |cap: usize| MppConfig {
+            max_arena_bytes: Some(cap),
+            ..MppConfig::default()
+        };
+        let mut metrics = MetricsObserver::new();
+        let unbounded = mpp_traced(&s, g, rho, 10, MppConfig::default(), &mut metrics).unwrap();
+        let peak = metrics.complete.as_ref().unwrap().peak_arena_bytes;
+        assert!(
+            metrics
+                .levels
+                .iter()
+                .any(|l| l.arena_bytes == peak && l.joins > 0),
+            "the peak comes from a joined level"
+        );
+        let at_peak = mpp(&s, g, rho, 10, capped(peak)).unwrap();
+        assert_eq!(at_peak.frequent, unbounded.frequent);
+        let mut sink = JsonlObserver::new(Vec::new());
+        match mpp_traced(&s, g, rho, 10, capped(peak - 1), &mut sink) {
+            Err(MineError::MemoryCeiling { limit, required }) => {
+                assert_eq!((limit, required), (peak - 1, peak));
+            }
+            other => panic!("expected MemoryCeiling, got {other:?}"),
+        }
+        let trace = String::from_utf8(sink.finish().unwrap()).unwrap();
+        assert!(validate_trace(&trace).unwrap().aborted);
     }
 
     #[test]

@@ -19,7 +19,8 @@ use crate::mpp::{prepare, run_levelwise, MppConfig};
 use crate::parallel::PoolHooks;
 use crate::result::{MineOutcome, MineStats};
 use crate::trace::{
-    AbortEvent, CompleteEvent, EmEvent, MineObserver, NoopObserver, ResourceMeter, SeedEvent,
+    AbortEvent, CompleteEvent, EmEvent, MineObserver, NoopObserver, ProcCounters, ResourceMeter,
+    SeedEvent,
 };
 use perigap_math::BigRatio;
 use perigap_seq::Sequence;
@@ -96,13 +97,14 @@ fn mppm_prelude<O: MineObserver>(
     let seed_started = Instant::now();
     let mut meter = ResourceMeter::start(observer);
     let pils = build_seed(seq, gap, start);
-    let (minflt, sys) = meter.lap();
+    let ProcCounters { minflt, user, sys } = meter.lap();
     observer.on_seed(&SeedEvent {
         level: start,
         patterns: pils.len(),
         pil_entries: pils.entry_count(),
         arena_bytes: pils.arena_bytes(),
         minflt,
+        user,
         sys,
         elapsed: seed_started.elapsed(),
     });

@@ -299,6 +299,7 @@ pub fn mine_collection_traced<O: MineObserver>(
                 reallocs: 0,
                 bytes_moved: 0,
                 minflt: 0,
+                user: Duration::ZERO,
                 sys: Duration::ZERO,
                 join_elapsed,
                 elapsed,

@@ -45,7 +45,7 @@ use crate::arena::{build_seed, generate_candidates, prefix_runs, PilSet};
 use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::lambda::BoundTable;
+use crate::lambda::{BoundRow, BoundTable};
 use crate::mpp::{check_ceiling, prepare, MppConfig};
 use crate::pattern::Pattern;
 use crate::pil::JoinCounters;
@@ -53,7 +53,7 @@ use crate::prune::Pruner;
 use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
 use crate::trace::{
     AbortEvent, CompleteEvent, LevelEvent, MineObserver, NoopObserver, PoolLevelEvent,
-    ResourceMeter, SeedEvent, WorkerLevelStats,
+    ProcCounters, ResourceMeter, SeedEvent, WorkerLevelStats,
 };
 use perigap_seq::Sequence;
 use std::ops::Range;
@@ -116,13 +116,14 @@ pub fn mpp_parallel_traced<O: MineObserver>(
     let seed_started = Instant::now();
     let mut meter = ResourceMeter::start(observer);
     let pils = build_seed(seq, gap, config.start_level);
-    let (minflt, sys) = meter.lap();
+    let ProcCounters { minflt, user, sys } = meter.lap();
     observer.on_seed(&SeedEvent {
         level: config.start_level,
         patterns: pils.len(),
         pil_entries: pils.entry_count(),
         arena_bytes: pils.arena_bytes(),
         minflt,
+        user,
         sys,
         elapsed: seed_started.elapsed(),
     });
@@ -666,14 +667,19 @@ fn run_parallel<O: MineObserver>(
         if counts.n(level).is_zero() {
             break;
         }
-        let row = bounds.row(level);
+        let &BoundRow {
+            exact_min,
+            lhat_min,
+            n_f64,
+            ..
+        } = bounds.row(level);
 
         kept.clear();
         let mut frequent_here = 0usize;
         for i in 0..current.len() {
             let sup = current.support(i);
-            let admits_exact = row.exact.admits_u128(sup);
-            let admits_lhat = row.lhat.admits_u128(sup);
+            let admits_exact = sup >= exact_min;
+            let admits_lhat = sup >= lhat_min;
             if (admits_exact || admits_lhat) && !pruner.admits_search(sup) {
                 continue;
             }
@@ -681,7 +687,7 @@ fn run_parallel<O: MineObserver>(
                 frequent.push(FrequentPattern {
                     pattern: Pattern::from_codes(current.pattern_codes(i).to_vec()),
                     support: sup,
-                    ratio: sup as f64 / row.n_f64,
+                    ratio: sup as f64 / n_f64,
                 });
                 frequent_here += 1;
             }
@@ -707,7 +713,7 @@ fn run_parallel<O: MineObserver>(
                 extended,
                 elapsed,
             });
-            let (minflt, sys) = meter.lap();
+            let ProcCounters { minflt, user, sys } = meter.lap();
             observer.on_level(&LevelEvent {
                 level,
                 candidates: candidates_at_level,
@@ -722,6 +728,7 @@ fn run_parallel<O: MineObserver>(
                 reallocs: jc.reallocs,
                 bytes_moved: jc.bytes_moved,
                 minflt,
+                user,
                 sys,
                 join_elapsed,
                 elapsed,
@@ -748,6 +755,8 @@ fn run_parallel<O: MineObserver>(
         // The parents move into the job below; their size is part of
         // the live footprint either way.
         let parent_bytes = current.arena_bytes();
+        // The child keeps entries only for what the next level can join.
+        let floor = bounds.keep_floor(level + 1, hard_cap);
         let mut level_jc = JoinCounters::default();
         let (next, parent) = match &pool {
             Some(pool) if kept.len() >= PARALLEL_THRESHOLD => {
@@ -758,6 +767,7 @@ fn run_parallel<O: MineObserver>(
                 let n_chunks = kept.len().div_ceil(chunk);
                 for s in &mut scratches {
                     s.out = PilSet::with_arena(level + 1, spare.pop().unwrap_or_default());
+                    s.out.set_keep_floor(floor);
                 }
                 let job = Arc::new(LevelJob {
                     set: std::mem::take(&mut current),
@@ -790,6 +800,7 @@ fn run_parallel<O: MineObserver>(
             }
             _ => {
                 let mut out = PilSet::with_arena(level + 1, spare.pop().unwrap_or_default());
+                out.set_keep_floor(floor);
                 serial_repr.begin(current.len());
                 generate_candidates(
                     &current,

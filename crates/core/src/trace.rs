@@ -33,8 +33,8 @@
 //!
 //! | event | fields |
 //! |---|---|
-//! | `seed` | `level`, `patterns`, `pil_entries`, `arena_bytes`, `minflt`, `sys_ms`, `elapsed_ms` |
-//! | `level` | `level`, `candidates`, `evaluated`, `frequent`, `kept`, `pruned_bound`, `pruned_support`, `arena_bytes`, `joins`, `probed`, `reallocs`, `bytes_moved`, `minflt`, `sys_ms`, `join_ms`, `elapsed_ms`, `saturated` |
+//! | `seed` | `level`, `patterns`, `pil_entries`, `arena_bytes`, `minflt`, `user_ms`, `sys_ms`, `elapsed_ms` |
+//! | `level` | `level`, `candidates`, `evaluated`, `frequent`, `kept`, `pruned_bound`, `pruned_support`, `arena_bytes`, `joins`, `probed`, `reallocs`, `bytes_moved`, `minflt`, `user_ms`, `sys_ms`, `join_ms`, `elapsed_ms`, `saturated` |
 //! | `pool` | `level`, `chunks`, `workers` (array of `{worker, chunks, candidates, busy_ms, idle_ms}`) |
 //! | `subtree` | `index`, `level`, `patterns`, `deepest`, `evaluated`, `frequent`, `peak_arena_bytes`, `batches`, `batch_candidates`, `elapsed_ms` |
 //! | `em` | `m`, `em`, `elapsed_ms` |
@@ -47,8 +47,9 @@
 //! | `abort` | `message` |
 //! | `summary` | `frequent`, `levels`, `total_candidates`, `n_used`, `support_saturated`, `peak_arena_bytes`, `total_ms` |
 //!
-//! `minflt` and `sys_ms` are the process's minor page faults and kernel
-//! CPU time spent during the phase, read from `/proc/self/stat` only
+//! `minflt`, `user_ms` and `sys_ms` are the process's minor page faults
+//! and user and kernel CPU time spent during the phase, read from
+//! `/proc/self/stat` only
 //! for observers whose [`MineObserver::wants_resources`] is true (zero
 //! otherwise); they are process-wide, so they include every pool
 //! worker.
@@ -80,6 +81,8 @@ pub struct SeedEvent {
     /// Minor page faults taken during the seed phase (0 unless the
     /// observer [wants resources](MineObserver::wants_resources)).
     pub minflt: u64,
+    /// User CPU time spent during the seed phase (likewise).
+    pub user: Duration,
     /// Kernel CPU time spent during the seed phase (likewise).
     pub sys: Duration,
     /// Wall-clock time of the seed scan.
@@ -128,6 +131,8 @@ pub struct LevelEvent {
     /// Minor page faults the process took during this level (0 unless
     /// the observer [wants resources](MineObserver::wants_resources)).
     pub minflt: u64,
+    /// User CPU time the process spent during this level (likewise).
+    pub user: Duration,
     /// Kernel CPU time the process spent during this level (likewise).
     pub sys: Duration,
     /// Time spent in the join fan-out generating the next level (zero
@@ -389,15 +394,19 @@ impl CompleteEvent {
     }
 }
 
-/// The process's cumulative minor faults and kernel CPU time, from
-/// `/proc/self/stat` (fields 10 and 15; the kernel reports the latter
+/// The process's minor faults and user/kernel CPU time, from
+/// `/proc/self/stat` (fields 10, 14 and 15; the kernel reports CPU time
 /// in `USER_HZ` = 100 ticks per second, so it has 10 ms resolution).
-#[derive(Clone, Copy, Debug)]
+/// Cumulative since process start when [read](ProcCounters::read), a
+/// phase's delta when returned by [`ResourceMeter::lap`].
+#[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct ProcCounters {
-    /// Minor page faults since process start.
-    minflt: u64,
-    /// Kernel CPU time since process start.
-    sys: Duration,
+    /// Minor page faults.
+    pub(crate) minflt: u64,
+    /// User CPU time.
+    pub(crate) user: Duration,
+    /// Kernel CPU time.
+    pub(crate) sys: Duration,
 }
 
 impl ProcCounters {
@@ -408,10 +417,13 @@ impl ProcCounters {
         // spaces; fields from 3 on follow its closing parenthesis.
         let mut fields = stat[stat.rfind(')')? + 1..].split_whitespace();
         let minflt = fields.nth(10 - 3)?.parse().ok()?;
-        let stime: u64 = fields.nth(15 - 10 - 1)?.parse().ok()?;
+        let utime: u64 = fields.nth(14 - 10 - 1)?.parse().ok()?;
+        let stime: u64 = fields.next()?.parse().ok()?;
+        let ticks = |t: u64| Duration::from_millis(t.saturating_mul(10));
         Some(ProcCounters {
             minflt,
-            sys: Duration::from_millis(stime.saturating_mul(10)),
+            user: ticks(utime),
+            sys: ticks(stime),
         })
     }
 }
@@ -435,18 +447,19 @@ impl ResourceMeter {
         }
     }
 
-    /// Minor faults and kernel time since the previous lap (or the
-    /// start); zeros when not measuring.
-    pub(crate) fn lap(&mut self) -> (u64, Duration) {
+    /// Minor faults and user/kernel time since the previous lap (or
+    /// the start); zeros when not measuring.
+    pub(crate) fn lap(&mut self) -> ProcCounters {
         let Some(last) = self.last else {
-            return (0, Duration::ZERO);
+            return ProcCounters::default();
         };
         let now = ProcCounters::read().unwrap_or(last);
         self.last = Some(now);
-        (
-            now.minflt.saturating_sub(last.minflt),
-            now.sys.saturating_sub(last.sys),
-        )
+        ProcCounters {
+            minflt: now.minflt.saturating_sub(last.minflt),
+            user: now.user.saturating_sub(last.user),
+            sys: now.sys.saturating_sub(last.sys),
+        }
     }
 }
 
@@ -749,12 +762,13 @@ impl<W: io::Write> MineObserver for JsonlObserver<W> {
 
     fn on_seed(&mut self, e: &SeedEvent) {
         self.write_line(&format!(
-            "{{\"event\": \"seed\", \"level\": {}, \"patterns\": {}, \"pil_entries\": {}, \"arena_bytes\": {}, \"minflt\": {}, \"sys_ms\": {:.3}, \"elapsed_ms\": {:.3}}}",
+            "{{\"event\": \"seed\", \"level\": {}, \"patterns\": {}, \"pil_entries\": {}, \"arena_bytes\": {}, \"minflt\": {}, \"user_ms\": {:.3}, \"sys_ms\": {:.3}, \"elapsed_ms\": {:.3}}}",
             e.level,
             e.patterns,
             e.pil_entries,
             e.arena_bytes,
             e.minflt,
+            ms(e.user),
             ms(e.sys),
             ms(e.elapsed)
         ));
@@ -762,7 +776,7 @@ impl<W: io::Write> MineObserver for JsonlObserver<W> {
 
     fn on_level(&mut self, e: &LevelEvent) {
         self.write_line(&format!(
-            "{{\"event\": \"level\", \"level\": {}, \"candidates\": {}, \"evaluated\": {}, \"frequent\": {}, \"kept\": {}, \"pruned_bound\": {}, \"pruned_support\": {}, \"arena_bytes\": {}, \"joins\": {}, \"probed\": {}, \"reallocs\": {}, \"bytes_moved\": {}, \"minflt\": {}, \"sys_ms\": {:.3}, \"join_ms\": {:.3}, \"elapsed_ms\": {:.3}, \"saturated\": {}}}",
+            "{{\"event\": \"level\", \"level\": {}, \"candidates\": {}, \"evaluated\": {}, \"frequent\": {}, \"kept\": {}, \"pruned_bound\": {}, \"pruned_support\": {}, \"arena_bytes\": {}, \"joins\": {}, \"probed\": {}, \"reallocs\": {}, \"bytes_moved\": {}, \"minflt\": {}, \"user_ms\": {:.3}, \"sys_ms\": {:.3}, \"join_ms\": {:.3}, \"elapsed_ms\": {:.3}, \"saturated\": {}}}",
             e.level,
             e.candidates,
             e.evaluated,
@@ -776,6 +790,7 @@ impl<W: io::Write> MineObserver for JsonlObserver<W> {
             e.reallocs,
             e.bytes_moved,
             e.minflt,
+            ms(e.user),
             ms(e.sys),
             ms(e.join_elapsed),
             ms(e.elapsed),
@@ -996,12 +1011,13 @@ impl MetricsObserver {
         if let Some(s) = &self.seed {
             let _ = writeln!(
                 out,
-                "  seed: level {} | {} patterns | {} PIL entries | {} arena bytes | {} minflt | {:.0} sys_ms | {:.3} ms",
+                "  seed: level {} | {} patterns | {} PIL entries | {} arena bytes | {} minflt | {:.0} user_ms | {:.0} sys_ms | {:.3} ms",
                 s.level,
                 s.patterns,
                 s.pil_entries,
                 s.arena_bytes,
                 s.minflt,
+                ms(s.user),
                 ms(s.sys),
                 ms(s.elapsed)
             );
@@ -1016,12 +1032,12 @@ impl MetricsObserver {
             );
         }
         out.push_str(
-            "  level | candidates | evaluated | frequent | kept | pruned_bound | pruned_support | joins | probed | reallocs | moved_bytes | minflt | sys_ms | join_ms | total_ms\n",
+            "  level | candidates | evaluated | frequent | kept | pruned_bound | pruned_support | joins | probed | reallocs | moved_bytes | minflt | user_ms | sys_ms | join_ms | total_ms\n",
         );
         for l in &self.levels {
             let _ = writeln!(
                 out,
-                "  {:>5} | {:>10} | {:>9} | {:>8} | {:>4} | {:>12} | {:>14} | {:>5} | {:>6} | {:>8} | {:>11} | {:>6} | {:>6.0} | {:>7.3} | {:>8.3}{}",
+                "  {:>5} | {:>10} | {:>9} | {:>8} | {:>4} | {:>12} | {:>14} | {:>5} | {:>6} | {:>8} | {:>11} | {:>6} | {:>7.0} | {:>6.0} | {:>7.3} | {:>8.3}{}",
                 l.level,
                 l.candidates,
                 l.evaluated,
@@ -1034,6 +1050,7 @@ impl MetricsObserver {
                 l.reallocs,
                 l.bytes_moved,
                 l.minflt,
+                ms(l.user),
                 ms(l.sys),
                 ms(l.join_elapsed),
                 ms(l.elapsed),
@@ -1496,17 +1513,20 @@ pub struct TraceReport {
 }
 
 /// The optional resource fields of a seed or level event: `minflt` a
-/// non-negative integer, `sys_ms` a non-negative number. Traces written
-/// before the fields existed carry neither and still validate.
+/// non-negative integer, `user_ms` and `sys_ms` non-negative numbers.
+/// Traces written before the fields existed carry none of them and
+/// still validate.
 fn check_resources(value: &Json, lineno: usize) -> Result<(), String> {
     if let Some(v) = value.get("minflt") {
         v.as_u128()
             .ok_or(format!("line {lineno}: minflt is not a count"))?;
     }
-    if let Some(v) = value.get("sys_ms") {
-        v.as_f64()
-            .filter(|ms| *ms >= 0.0)
-            .ok_or(format!("line {lineno}: sys_ms is not a duration"))?;
+    for field in ["user_ms", "sys_ms"] {
+        if let Some(v) = value.get(field) {
+            v.as_f64()
+                .filter(|ms| *ms >= 0.0)
+                .ok_or(format!("line {lineno}: {field} is not a duration"))?;
+        }
     }
     Ok(())
 }
@@ -1662,6 +1682,7 @@ mod tests {
             reallocs: 3,
             bytes_moved: 768,
             minflt: 42,
+            user: Duration::from_millis(30),
             sys: Duration::from_millis(10),
             join_elapsed: Duration::from_micros(500),
             elapsed: Duration::from_millis(1),
@@ -1709,6 +1730,7 @@ mod tests {
             pil_entries: 1000,
             arena_bytes: 16_192,
             minflt: 7,
+            user: Duration::from_millis(20),
             sys: Duration::ZERO,
             elapsed: Duration::from_millis(2),
         });
@@ -1754,6 +1776,14 @@ mod tests {
         let text = String::from_utf8(sink.finish().unwrap()).unwrap();
         assert!(text.contains("\"arena_bytes\": 4096"), "{text}");
         assert!(text.contains("\"peak_arena_bytes\": 8192"), "{text}");
+        assert!(
+            text.contains("\"minflt\": 7, \"user_ms\": 20.000, \"sys_ms\": 0.000"),
+            "{text}"
+        );
+        assert!(
+            text.contains("\"minflt\": 42, \"user_ms\": 30.000, \"sys_ms\": 10.000"),
+            "{text}"
+        );
         assert!(
             text.contains("\"joins\": 60, \"probed\": 1200, \"reallocs\": 3, \"bytes_moved\": 768"),
             "{text}"
@@ -1894,11 +1924,13 @@ mod tests {
         };
         // Absent (older traces) and well-formed fields both validate.
         validate_trace(&level("")).unwrap();
-        validate_trace(&level(", \"minflt\": 12, \"sys_ms\": 0.5")).unwrap();
+        validate_trace(&level(", \"minflt\": 12, \"user_ms\": 20, \"sys_ms\": 0.5")).unwrap();
         let err = validate_trace(&level(", \"minflt\": -1")).unwrap_err();
         assert!(err.contains("minflt"), "{err}");
         let err = validate_trace(&level(", \"sys_ms\": \"slow\"")).unwrap_err();
         assert!(err.contains("sys_ms"), "{err}");
+        let err = validate_trace(&level(", \"user_ms\": -3.5")).unwrap_err();
+        assert!(err.contains("user_ms"), "{err}");
         let seed = format!("{{\"event\": \"seed\", \"minflt\": 1.5}}\n{}", level(""));
         assert!(validate_trace(&seed).unwrap_err().contains("minflt"));
     }
@@ -1909,11 +1941,15 @@ mod tests {
         let a = ProcCounters::read().expect("/proc/self/stat is readable on Linux");
         let _touch: Vec<u8> = vec![1; 1 << 20];
         let b = ProcCounters::read().unwrap();
-        assert!(b.minflt >= a.minflt && b.sys >= a.sys);
+        assert!(b.minflt >= a.minflt && b.user >= a.user && b.sys >= a.sys);
         // NoopObserver never asks: every lap is zero.
         let mut off = ResourceMeter::start(&NoopObserver);
         assert!(off.last.is_none());
-        assert_eq!(off.lap(), (0, Duration::ZERO));
+        let lap = off.lap();
+        assert_eq!(
+            (lap.minflt, lap.user, lap.sys),
+            (0, Duration::ZERO, Duration::ZERO)
+        );
         // The metrics sink asks, and composed observers ask if any half does.
         assert!(MetricsObserver::new().wants_resources());
         assert!((NoopObserver, Some(MetricsObserver::new())).wants_resources());
@@ -2009,6 +2045,8 @@ mod tests {
         m.on_complete(&complete_event(1));
         let text = m.render();
         assert!(text.contains("e_m = 42"), "{text}");
+        assert!(text.contains("| user_ms | sys_ms |"), "{text}");
+        assert!(text.contains("|     42 |      30 |     10 |"), "{text}");
         assert!(text.contains("10 frequent"), "{text}");
         assert!(text.contains("pil repr: 5 dense | 3 sparse"), "{text}");
         assert!(

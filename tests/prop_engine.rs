@@ -677,3 +677,48 @@ proptest! {
         }
     }
 }
+
+// Capped mines: with `max_level` set, the last generation is never
+// joined, so the breadth-first drivers write it with a keep floor of
+// `u128::MAX` — codes and supports only. An 8-letter-skewed protein
+// sequence gives level 3 a few hundred patterns, enough for the pooled
+// driver to join level 4 on its workers. Serial, pooled and DFS mines
+// must all match the seed reference, counters included.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn capped_mines_agree_with_reference(
+        (seed, len, max_level, threads, rho_scale) in
+            (any::<u64>(), 300usize..600, 3usize..=5, 2usize..=4, 1usize..20)
+    ) {
+        use perigap::core::parallel::mpp_parallel_traced;
+        use perigap::core::trace::MetricsObserver;
+        use perigap::seq::gen::iid::weighted;
+        use rand::SeedableRng;
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut weights = [0.0; 20];
+        weights[..8].fill(1.0);
+        let seq = weighted(&mut rng, Alphabet::Protein, len, &weights);
+        let gap = GapRequirement::new(0, 2).unwrap();
+        let rho = rho_scale as f64 * 1e-5;
+        let config = MppConfig {
+            max_level: Some(max_level),
+            ..MppConfig::default()
+        };
+        let reference = mpp_reference(&seq, gap, rho, 8, config.clone(), 1).unwrap();
+        prop_assert!(reference.stats.levels.iter().all(|l| l.level <= max_level));
+        let serial = mpp(&seq, gap, rho, 8, config.clone()).unwrap();
+        let mut metrics = MetricsObserver::new();
+        let pooled =
+            mpp_parallel_traced(&seq, gap, rho, 8, config.clone(), threads, &mut metrics).unwrap();
+        if max_level > 3 {
+            prop_assert!(!metrics.pool.is_empty(), "level 4 must be pooled");
+        }
+        let dfs = mpp_dfs(&seq, gap, rho, 8, config, threads).unwrap();
+        for (other, label) in [(&serial, "mpp"), (&pooled, "mpp_parallel"), (&dfs, "mpp_dfs")] {
+            assert_outcome_invariant(&reference, other, label);
+        }
+    }
+}
