@@ -497,7 +497,7 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
         sink.finish()
             .map_err(|e| ArgError(format!("trace write failed: {e}")))?;
     }
-    let outcome = mined.map_err(|e| ArgError(e.to_string()))?;
+    let outcome = mined.map_err(usage_error)?;
     // The closed filter is an output mode: everything downstream
     // (save, tsv, table, verify) sees only the closed subset.
     let (outcome, closed_dropped) = if closed {
@@ -1224,6 +1224,20 @@ fn stats_command(args: &Args) -> Result<String, ArgError> {
     Ok(out)
 }
 
+/// A mining error as `pgmine mine` reports it: a request the engine
+/// refuses names the flag that caused it.
+fn usage_error(e: MineError) -> ArgError {
+    match e {
+        MineError::MaxLevelBelowStart {
+            max_level,
+            start_level,
+        } => ArgError(format!(
+            "--max-level {max_level} is below the start level {start_level}: nothing could be mined"
+        )),
+        other => ArgError(other.to_string()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1714,6 +1728,36 @@ mod tests {
         bfs_words[engine_at] = "bfs".into();
         let err = run_words(&bfs_words).unwrap_err();
         assert!(err.to_string().contains("dfs"), "{err}");
+    }
+
+    #[test]
+    fn max_level_below_start_is_a_usage_error() {
+        // It used to print "0 frequent patterns" and succeed.
+        let body = "ACGTTGCAAGTTACGATCGA".repeat(20);
+        let f = fasta_file(&format!(">frag\n{body}\n"));
+        let words = |extra: &[&str]| {
+            let mut words: Vec<String> = ["mine", "--input", f.as_str(), "--gap", "0:9"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            words.extend(["--rho", "0.5%"].iter().map(|s| s.to_string()));
+            words.extend(extra.iter().map(|s| s.to_string()));
+            words
+        };
+        for extra in [
+            &["--max-level", "2"][..],
+            &["--max-level", "0", "--algorithm", "mpp"],
+            &["--max-level", "2", "--algorithm", "mpp", "--threads", "2"],
+            &["--max-level", "2", "--algorithm", "mpp", "--engine", "dfs"],
+        ] {
+            let err = run_words(&words(extra)).unwrap_err().to_string();
+            assert!(
+                err.contains("--max-level") && err.contains("below the start level 3"),
+                "{extra:?}: {err}"
+            );
+        }
+        let out = run_words(&words(&["--max-level", "3"])).unwrap();
+        assert!(out.contains("longest = 3"), "{out}");
     }
 
     /// Each resource flag rejects its degenerate value with a message

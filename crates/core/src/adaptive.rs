@@ -14,9 +14,11 @@
 //! approach further"); MPPm remains the sound way to choose `n`.
 //!
 //! This module is also home to the engines' other adaptive choice: the
-//! per-list PIL *representation* rule ([`ReprCache`]) that decides,
-//! from occupancy, whether a suffix's occurrence list is joined through
-//! the sparse sliding-window merge or the dense prefix-sum probe of
+//! per-list PIL *representation* rule ([`choose_dense`], cached per
+//! generation by [`ReprCache`] for the DFS engine) that decides, from
+//! occupancy and the number of left parents probing the list, whether a
+//! partner's occurrence list is joined through the sparse
+//! sliding-window merge or the dense prefix-sum probe of
 //! [`crate::pil::DensePil`].
 
 use crate::error::MineError;
@@ -91,20 +93,51 @@ const CROSSOVER: f64 = 0.25;
 const MIN_DENSE_LEN: usize = 8;
 
 /// The occupancy rule: join `entries` through the dense prefix-sum
-/// probe when the list has at least [`MIN_DENSE_LEN`] entries covering
-/// at least [`CROSSOVER`] of its offset span. (Feasibility — the `u64`
-/// total-count check — still happens in [`DensePil::build`]; see
-/// [`ReprCache::decide`].)
+/// probe when the list has at least [`MIN_DENSE_LEN`] entries and its
+/// entries times its `users` (the left parents that probe it while the
+/// build is live) cover at least [`CROSSOVER`] of its offset span. The
+/// `O(span)` build is paid once and amortised over every user, so a
+/// list probed by σ left parents densifies at a σ-th of the occupancy a
+/// single user needs. (Feasibility — the `u64` total-count check —
+/// still happens in [`DensePil::build`]; see [`choose_dense`].)
 ///
 /// The choice is pure performance: whichever side is picked, mined
 /// patterns, supports, and `MineStats` are bit-identical (see
 /// [`DensePil::build`] for why the saturation corner is covered).
-fn wants_dense(entries: &[(u32, u64)]) -> bool {
+fn wants_dense(entries: &[(u32, u64)], users: usize) -> bool {
     let (Some(first), Some(last)) = (entries.first(), entries.last()) else {
         return false;
     };
     let span = last.0 as u64 - first.0 as u64 + 1;
-    entries.len() >= MIN_DENSE_LEN && entries.len() as f64 >= CROSSOVER * span as f64
+    entries.len() >= MIN_DENSE_LEN && (entries.len() * users) as f64 >= CROSSOVER * span as f64
+}
+
+/// Decide the layout of one partner list probed by `users` left
+/// parents, and count the decision in the process-wide histogram:
+/// `Some` with the dense build (written into a buffer popped from
+/// `spare`, see [`DensePil::build_reusing`]) when the occupancy rule
+/// wants it and the total count fits `u64`, `None` for the sparse
+/// merge. The breadth-first drivers make this call once per partner
+/// list per level; [`ReprCache`] makes it once per list with one user.
+pub(crate) fn choose_dense(
+    entries: &[(u32, u64)],
+    users: usize,
+    spare: &mut Vec<Vec<u64>>,
+) -> Option<DensePil> {
+    let mut built = None;
+    if wants_dense(entries, users) {
+        built = DensePil::build_reusing(entries, spare);
+        if built.is_none() {
+            DENSE_FALLBACKS.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    let decided = if built.is_some() {
+        &DENSE_LISTS
+    } else {
+        &SPARSE_LISTS
+    };
+    decided.fetch_add(1, Ordering::Relaxed);
+    built
 }
 
 const TAG_UNDECIDED: u8 = 0;
@@ -112,29 +145,13 @@ const TAG_SPARSE: u8 = 1;
 const TAG_DENSE: u8 = 2;
 
 /// Per-generation cache of representation decisions and dense builds,
-/// keyed by pattern index into the generation's pattern set.
+/// keyed by pattern index into the generation's pattern set — the
+/// hybrid DFS engine's layout choice. Its left parents meet a partner
+/// list through [`crate::pil::join_multi_into`] batches one parent at a
+/// time, so each list is decided with one user ([`choose_dense`]) and
+/// its build is kept until [`ReprCache::begin`], reused by every later
+/// left parent of the same pass.
 ///
-/// How long a dense build lives depends on who joins against it:
-///
-/// - A whole level in one pass (serial `mpp`, DFS subtrees): every left
-///   parent `x·s` of a suffix `s` meets the same partner group, σ of
-///   them spread over the sorted level, so builds are kept until
-///   [`ReprCache::begin`] and reused up to σ-fold.
-/// - A pooled chunk ([`ReprCache::per_parent`]): a chunk is a run of
-///   consecutive left parents and almost never meets the same partner
-///   group twice, so every build is released by
-///   [`ReprCache::end_parent`] as soon as its left parent's group is
-///   joined. Measured on DNA L = 10k, gap [0,9], 2 threads: 41,447 →
-///   41,522 dense builds (+0.2%), with the chunk's dense working set
-///   down to one partner group.
-///
-/// A parent-scoped cache hands the buffers of released builds to a
-/// spare list that later builds write into
-/// ([`DensePil::build_reusing`]), so a worker stops allocating and
-/// faulting fresh arrays after its first few builds; the list never
-/// outgrows one partner group (≤ σ builds). A level-scoped cache frees
-/// its builds instead: keeping a whole level's buffers would hold that
-/// much memory across levels.
 /// The cache must be [`ReprCache::begin`]-reset whenever the indices
 /// start referring to a different generation.
 #[derive(Default)]
@@ -143,11 +160,8 @@ pub struct ReprCache {
     tags: Vec<u8>,
     /// Built prefix-sum arrays for the dense-tagged indices.
     dense: HashMap<usize, DensePil>,
-    /// Buffers of released builds, reused by the next builds
-    /// (parent scope only).
-    spare: Vec<Vec<u64>>,
-    /// Release builds after every left parent instead of at `begin`.
-    per_parent: bool,
+    /// Dense builds since the last [`ReprCache::begin`].
+    builds: u64,
 }
 
 impl ReprCache {
@@ -156,77 +170,47 @@ impl ReprCache {
         ReprCache::default()
     }
 
-    /// This cache, releasing its dense builds after every left parent
-    /// (see the type docs) — the pooled chunk's scope.
-    pub(crate) fn per_parent(mut self) -> ReprCache {
-        self.per_parent = true;
-        self
-    }
-
-    /// Forget every decision and size for a generation of `patterns`
-    /// lists. Keeps the tag allocation.
+    /// Forget every decision and build, and size for a generation of
+    /// `patterns` lists. Keeps the tag allocation.
     pub fn begin(&mut self, patterns: usize) {
-        self.release_dense();
+        self.dense.clear();
+        self.builds = 0;
         self.tags.clear();
         self.tags.resize(patterns, TAG_UNDECIDED);
     }
 
-    /// Called once a left parent's partner group is joined: a
-    /// parent-scoped cache releases its builds (their lists revert to
-    /// undecided); a level-scoped one keeps them.
-    pub(crate) fn end_parent(&mut self) {
-        if self.per_parent {
-            self.release_dense();
-        }
-    }
-
-    /// Drop every dense build — into the spare list under parent scope
-    /// — and mark its list undecided again.
-    fn release_dense(&mut self) {
-        for (id, dense) in self.dense.drain() {
-            self.tags[id] = TAG_UNDECIDED;
-            if self.per_parent {
-                dense.recycle(&mut self.spare);
-            }
-        }
+    /// Dense builds made since the last [`ReprCache::begin`] (the
+    /// `dense_builds` join counter).
+    pub(crate) fn builds(&self) -> u64 {
+        self.builds
     }
 
     /// Decide (once) the representation for pattern `id`, whose PIL is
     /// `entries`; returns `true` for dense. The first call per `id`
-    /// applies the occupancy rule, attempts the dense build, and counts
-    /// the decision in the process-wide histogram; later calls are a tag
-    /// load.
+    /// applies the occupancy rule with one user, attempts the dense
+    /// build, and counts the decision in the process-wide histogram;
+    /// later calls are a tag load.
     pub fn decide(&mut self, id: usize, entries: &[(u32, u64)]) -> bool {
         match self.tags[id] {
             TAG_SPARSE => false,
             TAG_DENSE => true,
-            _ => {
-                let mut built = None;
-                if wants_dense(entries) {
-                    built = DensePil::build_reusing(entries, &mut self.spare);
-                    if built.is_none() {
-                        DENSE_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-                    }
+            _ => match choose_dense(entries, 1, &mut Vec::new()) {
+                Some(d) => {
+                    self.builds += 1;
+                    self.dense.insert(id, d);
+                    self.tags[id] = TAG_DENSE;
+                    true
                 }
-                match built {
-                    Some(d) => {
-                        DENSE_LISTS.fetch_add(1, Ordering::Relaxed);
-                        self.dense.insert(id, d);
-                        self.tags[id] = TAG_DENSE;
-                        true
-                    }
-                    None => {
-                        SPARSE_LISTS.fetch_add(1, Ordering::Relaxed);
-                        self.tags[id] = TAG_SPARSE;
-                        false
-                    }
+                None => {
+                    self.tags[id] = TAG_SPARSE;
+                    false
                 }
-            }
+            },
         }
     }
 
     /// The dense build for `id`, present iff [`ReprCache::decide`]
-    /// returned `true` for it and it has not been released since.
+    /// returned `true` for it since the last [`ReprCache::begin`].
     pub fn get(&self, id: usize) -> Option<&DensePil> {
         self.dense.get(&id)
     }
@@ -347,20 +331,40 @@ mod tests {
     fn policy_crossover_splits_dense_from_sparse() {
         // Fully occupied span, long enough: dense.
         let packed: Vec<(u32, u64)> = (1..=64).map(|x| (x, 1)).collect();
-        assert!(wants_dense(&packed));
+        assert!(wants_dense(&packed, 1));
         // 2% occupancy: sparse.
         let thin: Vec<(u32, u64)> = (0..64).map(|k| (1 + k * 50, 1)).collect();
-        assert!(!wants_dense(&thin));
+        assert!(!wants_dense(&thin, 1));
         // Eight entries over a span of 32 sit exactly on the crossover
         // (dense); one slot wider falls under it (sparse).
         let edge = |last: u32| -> Vec<(u32, u64)> {
             (0..7).map(|k| (1 + k * 4, 1)).chain([(last, 1)]).collect()
         };
-        assert!(wants_dense(&edge(32)));
-        assert!(!wants_dense(&edge(33)));
-        // Tiny lists never densify.
-        assert!(!wants_dense(&[(1, 1), (2, 1)]));
-        assert!(!wants_dense(&[]));
+        assert!(wants_dense(&edge(32), 1));
+        assert!(!wants_dense(&edge(33), 1));
+        // Tiny lists never densify, however many users share them.
+        assert!(!wants_dense(&[(1, 1), (2, 1)], 4));
+        assert!(!wants_dense(&[], 4));
+        assert!(!wants_dense(&packed[..MIN_DENSE_LEN - 1], 64));
+    }
+
+    #[test]
+    fn policy_counts_the_users_of_a_build() {
+        // 16 entries over a span of 121: 13% occupancy. One user cannot
+        // amortise the build; four users probing it reach the crossover.
+        let list: Vec<(u32, u64)> = (0..16).map(|k| (1 + k * 8, 1)).collect();
+        assert!(!wants_dense(&list, 1));
+        assert!(wants_dense(&list, 4));
+        let mut spare = Vec::new();
+        assert!(choose_dense(&list, 1, &mut spare).is_none());
+        let dense = choose_dense(&list, 4, &mut spare).expect("dense with 4 users");
+        assert_eq!(dense.psum(), DensePil::build(&list).unwrap().psum());
+        // The buffer goes back to the spare list and is reused.
+        let buffer = dense.psum().as_ptr();
+        dense.recycle(&mut spare);
+        let again = choose_dense(&list, 4, &mut spare).unwrap();
+        assert_eq!(again.psum().as_ptr(), buffer, "spare buffer reused");
+        assert!(spare.is_empty());
     }
 
     #[test]
@@ -371,6 +375,7 @@ mod tests {
         cache.begin(2);
         assert!(cache.decide(0, &packed));
         assert!(cache.decide(0, &packed), "second call is a tag load");
+        assert_eq!(cache.builds(), 1);
         assert!(cache.get(0).is_some());
         assert!(cache.get(1).is_none(), "undecided ids have no build");
         assert!(cache.dense_for(1, &[(5, 1)]).is_none());
@@ -381,31 +386,7 @@ mod tests {
         // begin() drops every decision and build.
         cache.begin(1);
         assert!(cache.get(0).is_none());
-    }
-
-    #[test]
-    fn parent_scope_releases_builds_and_reuses_their_buffers() {
-        let packed: Vec<(u32, u64)> = (1..=64).map(|x| (x, 1)).collect();
-        // Level scope: builds survive `end_parent` until `begin`.
-        let mut level = ReprCache::new();
-        level.begin(2);
-        assert!(level.decide(0, &packed));
-        level.end_parent();
-        assert!(level.get(0).is_some());
-        // Parent scope: released at `end_parent`, buffer reused by the
-        // next build, which matches a fresh one.
-        let mut parent = ReprCache::new().per_parent();
-        parent.begin(2);
-        assert!(parent.decide(0, &packed));
-        let buffer = parent.get(0).unwrap().psum().as_ptr();
-        parent.end_parent();
-        assert!(parent.get(0).is_none(), "released");
-        assert!(parent.decide(1, &packed));
-        let rebuilt = parent.get(1).unwrap();
-        assert_eq!(rebuilt.psum().as_ptr(), buffer, "spare buffer reused");
-        assert_eq!(rebuilt.psum(), DensePil::build(&packed).unwrap().psum());
-        // A released list is decided afresh, and still dense.
-        assert!(parent.decide(0, &packed));
+        assert_eq!(cache.builds(), 0);
     }
 
     #[test]
@@ -413,12 +394,13 @@ mod tests {
         // A list the occupancy rule wants dense but whose total overflows u64:
         // the decision must come back sparse and count a fallback.
         let hot: Vec<(u32, u64)> = (1..=8).map(|x| (x, u64::MAX / 4)).collect();
-        assert!(wants_dense(&hot));
+        assert!(wants_dense(&hot, 1));
         let before = repr_stats();
         let mut cache = ReprCache::new();
         cache.begin(1);
         assert!(!cache.decide(0, &hot));
         assert!(cache.get(0).is_none());
+        assert_eq!(cache.builds(), 0);
         let delta = repr_stats().since(before);
         assert!(delta.fallbacks >= 1);
         assert!(delta.total() >= 1);

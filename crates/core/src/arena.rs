@@ -23,25 +23,27 @@
 //! - Candidate generation exploits the sort order: all patterns sharing
 //!   a `(level−1)`-prefix form a contiguous *run*, so the prefix-group
 //!   `HashMap` of the old pipeline reduces to run detection plus a
-//!   binary search ([`prefix_runs`] / [`generate_candidates`]), and the
-//!   candidates come out already sorted and duplicate-free — candidate
-//!   codes are `p1 · last(p2)`, which inherit the order of `(p1, p2)`.
+//!   binary search ([`prefix_runs`] / [`JoinPlan`]). Candidate codes are
+//!   `p1 · last(p2)`, which inherit the order of `(p1, p2)`, so the
+//!   lexicographic slot of every candidate is known before any join:
+//!   [`JoinPlan::generate`] visits the pairs partner by partner (one
+//!   dense build per partner list, probed by all its left parents) and
+//!   writes each candidate straight into its slot.
 //!
 //! Everything here is `pub(crate)`: the public API (`Pil::build_all`,
 //! `mpp`, `mppm`, `mpp_parallel`) is a thin shell over these types and
 //! its behaviour — including byte-identical mining output — is
 //! unchanged.
 
-use crate::adaptive::ReprCache;
+use crate::adaptive::choose_dense;
 use crate::gap::GapRequirement;
 use crate::packed::KeyCodec;
 use crate::pattern::Pattern;
-use crate::pil::{
-    join_dense_into, join_into, join_multi_into, DensePil, JoinCounters, MultiJoinScratch, Pil,
-};
+use crate::pil::{join_dense_into, join_into, JoinCounters, Pil};
 use crate::prune::Pruner;
 use perigap_seq::Sequence;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Above this many key bits the dense seed table would outgrow the
 /// cache benefit (2^20 slots ≈ 24 MB of headers); fall back to hashing
@@ -50,7 +52,7 @@ const DENSE_KEY_BITS_MAX: u32 = 20;
 
 /// Where one pattern's PIL lives: `len` entries from `start` in arena
 /// `arena`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Span {
     start: usize,
     len: u32,
@@ -65,8 +67,11 @@ struct Span {
 /// [`PilSet::concat`] keeps the arenas its parts were written into
 /// (one per pool worker in [`crate::parallel`]) and records a span per
 /// pattern — assembling a generation moves arenas and copies only
-/// codes, supports and spans. Equality is logical: patterns, supports,
-/// entries and the saturation flag, never the arena layout.
+/// codes, supports and spans. Spans are an indirection, so entries need
+/// not sit in pattern order: a candidate generation written by slot
+/// ([`PilSet::presize`]) appends each PIL to the tail arena in join
+/// order. Equality is logical: patterns, supports, entries and the
+/// saturation flag, never the arena layout.
 ///
 /// Each pattern's support is recorded when its span closes, while the
 /// entries are still in cache, so [`PilSet::support`] is a read. A span
@@ -223,25 +228,26 @@ impl PilSet {
     }
 
     /// Close the pattern whose entries were appended to the tail arena
-    /// from `start` on: record its support, and drop the entries again
-    /// when that support is below the keep floor.
+    /// from `start` on: sum its support, and drop the entries again
+    /// when that support is below the keep floor. Returns the span and
+    /// the support for the caller to record.
     #[inline]
-    fn close_span(&mut self, start: usize) {
+    fn close_span(&mut self, start: usize) -> (Span, u128) {
         let arena = self.arenas.len() - 1;
         let tail = &mut self.arenas[arena];
         let sup = tail[start..]
             .iter()
             .fold(0u128, |acc, &(_, y)| acc.saturating_add(y as u128));
-        self.supports.push(sup);
         if sup < self.floor {
             tail.truncate(start);
         }
         let len = tail.len() - start;
-        self.spans.push(Span {
+        let span = Span {
             start,
             len: u32::try_from(len).expect("a PIL holds at most one entry per u32 offset"),
             arena: u32::try_from(arena).expect("arena count fits u32"),
-        });
+        };
+        (span, sup)
     }
 
     /// Append a pattern with pre-built entries. Patterns must arrive in
@@ -251,11 +257,14 @@ impl PilSet {
         self.codes.extend_from_slice(codes);
         let (start, arena) = self.tail();
         arena.extend_from_slice(entries);
-        self.close_span(start);
+        let (span, sup) = self.close_span(start);
+        self.spans.push(span);
+        self.supports.push(sup);
     }
 
     /// Append the candidate `p1_codes · last`, computing its PIL by
     /// joining `prefix` and `suffix` straight into the arena.
+    #[cfg(test)]
     pub(crate) fn push_candidate(
         &mut self,
         p1_codes: &[u8],
@@ -265,52 +274,52 @@ impl PilSet {
         gap: GapRequirement,
         counters: &mut JoinCounters,
     ) {
-        debug_assert_eq!(p1_codes.len() + 1, self.level);
-        self.codes.extend_from_slice(p1_codes);
-        self.codes.push(last);
-        let (start, arena) = self.tail();
-        self.saturated |= join_into(prefix, suffix, gap, arena, counters);
-        self.close_span(start);
+        self.put_candidate(None, p1_codes, last, |arena| {
+            join_into(prefix, suffix, gap, arena, counters)
+        });
     }
 
-    /// [`PilSet::push_candidate`] through the dense prefix-sum kernel:
-    /// the suffix arrives as a pre-built [`DensePil`] (held per suffix
-    /// by [`ReprCache`]), so the join is one O(1) probe per prefix
-    /// offset and can never saturate (see [`DensePil::build`]).
-    pub(crate) fn push_candidate_dense(
-        &mut self,
-        p1_codes: &[u8],
-        last: u8,
-        prefix: &[(u32, u64)],
-        suffix: &DensePil,
-        gap: GapRequirement,
-        counters: &mut JoinCounters,
-    ) {
-        debug_assert_eq!(p1_codes.len() + 1, self.level);
-        self.codes.extend_from_slice(p1_codes);
-        self.codes.push(last);
-        let (start, arena) = self.tail();
-        join_dense_into(prefix, suffix, gap, arena, counters);
-        self.close_span(start);
+    /// Size codes, spans and supports for `n` patterns that
+    /// [`JoinPlan::generate`] then writes by slot. Every slot must be
+    /// written before the set is read.
+    pub(crate) fn presize(&mut self, n: usize) {
+        debug_assert!(self.is_empty());
+        self.codes.resize(n * self.level, 0);
+        self.spans.resize(n, Span::default());
+        self.supports.resize(n, 0);
     }
 
-    /// Append the candidate `p1_codes · last` with a PIL already
-    /// computed by the batched multi-suffix join — the entries are
-    /// copied in and the partner's saturation flag is absorbed.
-    pub(crate) fn push_batched(
+    /// Store the candidate `p1_codes · last` at `slot` of a
+    /// [presized](PilSet::presize) set, or append it when `slot` is
+    /// `None`. Its PIL is written by `join` straight into the tail
+    /// arena; `join` returns the kernel's saturation flag.
+    #[inline]
+    fn put_candidate(
         &mut self,
+        slot: Option<usize>,
         p1_codes: &[u8],
         last: u8,
-        entries: &[(u32, u64)],
-        saturated: bool,
+        join: impl FnOnce(&mut Vec<(u32, u64)>) -> bool,
     ) {
         debug_assert_eq!(p1_codes.len() + 1, self.level);
-        self.codes.extend_from_slice(p1_codes);
-        self.codes.push(last);
         let (start, arena) = self.tail();
-        arena.extend_from_slice(entries);
-        self.saturated |= saturated;
-        self.close_span(start);
+        self.saturated |= join(arena);
+        let (span, sup) = self.close_span(start);
+        match slot {
+            Some(k) => {
+                let codes = &mut self.codes[k * self.level..(k + 1) * self.level];
+                codes[..p1_codes.len()].copy_from_slice(p1_codes);
+                codes[p1_codes.len()] = last;
+                self.spans[k] = span;
+                self.supports[k] = sup;
+            }
+            None => {
+                self.codes.extend_from_slice(p1_codes);
+                self.codes.push(last);
+                self.spans.push(span);
+                self.supports.push(sup);
+            }
+        }
     }
 
     /// Drop all patterns, clear the keep floor and set a new level,
@@ -331,16 +340,17 @@ impl PilSet {
         self.saturated = false;
     }
 
-    /// Assemble one set from `pieces` — `(part, pattern range)` pairs,
-    /// in output order — of `parts`. Every pattern of every part must
-    /// appear in exactly one piece, and the pieces must hold ascending,
-    /// disjoint code ranges. The parts' arenas move into the result
-    /// unchanged; only codes, spans and supports are copied. The result
-    /// has keep floor 0.
+    /// Assemble one set of `total` patterns from `parts`: each
+    /// `(part, pattern, slot)` of `placements` moves pattern `pattern`
+    /// of part `part` to slot `slot`, and every pattern of every part
+    /// must fill exactly one of the `total` slots. The parts' arenas
+    /// move into the result unchanged; only codes, spans and supports
+    /// are copied. The result has keep floor 0.
     pub(crate) fn gather(
         level: usize,
         parts: Vec<PilSet>,
-        pieces: impl IntoIterator<Item = (usize, std::ops::Range<usize>)>,
+        total: usize,
+        placements: impl IntoIterator<Item = (usize, usize, usize)>,
     ) -> PilSet {
         let mut out = PilSet {
             level,
@@ -351,6 +361,7 @@ impl PilSet {
             arenas: Vec::new(),
             saturated: false,
         };
+        out.presize(total);
         let mut heads = Vec::with_capacity(parts.len());
         for part in parts {
             debug_assert_eq!(part.level, level);
@@ -359,20 +370,23 @@ impl PilSet {
             out.saturated |= part.saturated;
             heads.push((base, part.codes, part.spans, part.supports));
         }
-        for (p, range) in pieces {
+        let mut placed = 0usize;
+        for (p, k, slot) in placements {
             let (base, codes, spans, supports) = &heads[p];
-            out.codes
-                .extend_from_slice(&codes[range.start * level..range.end * level]);
-            out.supports.extend_from_slice(&supports[range.clone()]);
-            out.spans.extend(spans[range].iter().map(|s| Span {
-                arena: s.arena + base,
-                ..*s
-            }));
+            out.codes[slot * level..(slot + 1) * level]
+                .copy_from_slice(&codes[k * level..(k + 1) * level]);
+            out.supports[slot] = supports[k];
+            out.spans[slot] = Span {
+                arena: spans[k].arena + base,
+                ..spans[k]
+            };
+            placed += 1;
         }
+        debug_assert_eq!(placed, total, "placements must fill every slot");
         debug_assert_eq!(
-            out.spans.len(),
+            total,
             heads.iter().map(|(_, _, s, _)| s.len()).sum::<usize>(),
-            "pieces must cover every part exactly"
+            "placements must cover every part exactly"
         );
         if out.arenas.is_empty() {
             out.arenas.push(Vec::new());
@@ -381,13 +395,16 @@ impl PilSet {
     }
 
     /// Concatenate whole parts (in order) into one set, moving their
-    /// arenas. Parts must hold disjoint ascending code ranges — true for
-    /// chunked candidate generation, where chunk `k` covers left-parent
-    /// indices before chunk `k+1`'s.
+    /// arenas. Parts must hold disjoint ascending code ranges.
     pub(crate) fn concat(level: usize, parts: impl IntoIterator<Item = PilSet>) -> PilSet {
         let parts: Vec<PilSet> = parts.into_iter().collect();
-        let ranges: Vec<_> = parts.iter().map(|p| 0..p.len()).collect();
-        PilSet::gather(level, parts, ranges.into_iter().enumerate())
+        let lens: Vec<usize> = parts.iter().map(PilSet::len).collect();
+        let total = lens.iter().sum();
+        let placements = lens.iter().enumerate().scan(0, |next, (p, &len)| {
+            let first = std::mem::replace(next, *next + len);
+            Some((0..len).map(move |k| (p, k, first + k)))
+        });
+        PilSet::gather(level, parts, total, placements.flatten())
     }
 
     /// Convert to the public map form, omitting empty PILs (they only
@@ -592,97 +609,179 @@ pub(crate) fn prefix_runs(set: &PilSet, kept: &[usize]) -> Vec<(usize, usize)> {
     runs
 }
 
-/// Generate candidates whose left parent is `kept[lo..hi]`, appending
-/// them (already sorted) to `out`. The right-parent run is found by
-/// binary search over the prefix runs.
+/// Where [`JoinPlan::generate`] puts each candidate.
+pub(crate) enum Placement<'a> {
+    /// At its lexicographic slot of a set [presized](PilSet::presize) to
+    /// the level's candidate count — the serial drivers.
+    Slot,
+    /// Appended in generation order, with its slot pushed here for
+    /// [`PilSet::gather`] — a pooled chunk.
+    Append(&'a mut Vec<usize>),
+}
+
+/// One level's `Gen(L̂)` (Section 5.1), planned before any join: the
+/// partner runs over `kept`, and every admitted left parent bucketed
+/// under the run its suffix selects, with the lexicographic slot of its
+/// first candidate.
 ///
-/// `repr` decides per suffix list whether the join runs on the sparse
-/// merge or the dense prefix-sum probe, and holds the dense builds for
-/// as long as its scope says: the whole level (reused by every left
-/// parent sharing the suffix, up to σ of them) or, for a pooled chunk,
-/// only the current left parent's partner group — see [`ReprCache`].
-/// The caller must have [`ReprCache::begin`]-reset it for `set`'s
-/// pattern indices.
-///
-/// Each left parent's partner run is a *sibling group*: the sparse
-/// subset shares one batched walk of the left PIL
-/// ([`join_multi_into`]), the dense subset takes the per-partner
-/// prefix-sum probe, and candidates are emitted back in
-/// partner order — so the output is byte-identical to the per-candidate
-/// path, saturation flags included.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn generate_candidates(
-    set: &PilSet,
-    kept: &[usize],
-    runs: &[(usize, usize)],
-    gap: GapRequirement,
-    lo: usize,
-    hi: usize,
-    out: &mut PilSet,
-    repr: &mut ReprCache,
-    counters: &mut JoinCounters,
-    pruner: &Pruner,
-) {
-    debug_assert_eq!(out.level(), set.level() + 1);
-    let level = set.level();
-    let mut scratch = MultiJoinScratch::default();
-    let mut souts: Vec<Vec<(u32, u64)>> = Vec::new();
-    let mut partners: Vec<&[(u32, u64)]> = Vec::new();
-    let mut sparse_pos: Vec<usize> = Vec::new();
-    for &i in &kept[lo..hi] {
-        let p1 = set.pattern_codes(i);
-        // Pruned modes: skip a left parent whose cone cannot reach the
-        // target or whose support already sits under the top-k floor.
-        if !pruner.admits_parent(p1, || set.support(i)) {
-            continue;
-        }
-        let suffix = &p1[1..];
-        let found =
-            runs.binary_search_by(|&(s, _)| set.pattern_codes(kept[s])[..level - 1].cmp(suffix));
-        if let Ok(r) = found {
-            let (s, e) = runs[r];
-            sparse_pos.clear();
-            for (j, &m) in kept[s..e].iter().enumerate() {
-                if !repr.decide(m, set.entries(m)) {
-                    sparse_pos.push(j);
-                }
-            }
-            if e - s == 1 && sparse_pos.len() == 1 {
-                // Singleton sparse group: join straight into the arena,
-                // skipping the staging buffer round-trip.
-                let m = kept[s];
-                let last = set.pattern_codes(m)[level - 1];
-                out.push_candidate(p1, last, set.entries(i), set.entries(m), gap, counters);
+/// Left parent `x·s` meets the run of patterns with prefix `s`; its
+/// `j`-th partner yields candidate `x·s·c_j` at slot `base + j`, where
+/// `base` is the running sum of the run lengths of the admitted left
+/// parents before it. Up to σ left parents share one run, spread over
+/// the level about 1/σ apart, so visiting the pairs partner-major lets
+/// one dense build serve all of them.
+pub(crate) struct JoinPlan {
+    /// Equal-prefix runs over `kept` (see [`prefix_runs`]).
+    runs: Vec<(usize, usize)>,
+    /// Run `r`'s left parents are `lefts[starts[r]..starts[r + 1]]`.
+    starts: Vec<usize>,
+    /// `(pattern index, slot of its first candidate)`, in code order
+    /// within each run.
+    lefts: Vec<(usize, usize)>,
+    candidates: usize,
+}
+
+impl JoinPlan {
+    /// Plan the join of `set`'s `kept` patterns (ascending indices).
+    /// `pruner` vets every left parent exactly once, in order.
+    pub(crate) fn new(set: &PilSet, kept: &[usize], pruner: &Pruner) -> JoinPlan {
+        let plen = set.level() - 1;
+        let runs = prefix_runs(set, kept);
+        let mut starts = vec![0usize; runs.len() + 1];
+        let mut picked: Vec<(usize, usize, usize)> = Vec::new();
+        let mut candidates = 0usize;
+        for &i in kept {
+            let p1 = set.pattern_codes(i);
+            // Pruned modes: skip a left parent whose cone cannot reach
+            // the target or whose support already sits under the top-k
+            // floor.
+            if !pruner.admits_parent(p1, || set.support(i)) {
                 continue;
             }
-            if !sparse_pos.is_empty() {
-                let k = sparse_pos.len();
-                partners.clear();
-                partners.extend(sparse_pos.iter().map(|&j| set.entries(kept[s + j])));
-                if souts.len() < k {
-                    souts.resize_with(k, Vec::new);
-                }
-                join_multi_into(
-                    set.entries(i),
-                    &partners,
-                    gap,
-                    &mut souts[..k],
-                    &mut scratch,
-                    counters,
-                );
+            let suffix = &p1[1..];
+            let found =
+                runs.binary_search_by(|&(s, _)| set.pattern_codes(kept[s])[..plen].cmp(suffix));
+            if let Ok(r) = found {
+                picked.push((r, i, candidates));
+                starts[r + 1] += 1;
+                candidates += runs[r].1 - runs[r].0;
             }
-            let mut sp = 0usize;
+        }
+        for r in 0..runs.len() {
+            starts[r + 1] += starts[r];
+        }
+        // A stable bucket sort: each run's left parents stay in order.
+        let mut fill = starts.clone();
+        let mut lefts = vec![(0, 0); picked.len()];
+        for (r, i, base) in picked {
+            lefts[fill[r]] = (i, base);
+            fill[r] += 1;
+        }
+        JoinPlan {
+            runs,
+            starts,
+            lefts,
+            candidates,
+        }
+    }
+
+    /// The level's candidate count: the size of the child generation.
+    pub(crate) fn candidates(&self) -> usize {
+        self.candidates
+    }
+
+    /// Number of partner runs; [`JoinPlan::generate`] takes a range of
+    /// them.
+    pub(crate) fn runs(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// The left parents of run `r`.
+    fn lefts(&self, r: usize) -> &[(usize, usize)] {
+        &self.lefts[self.starts[r]..self.starts[r + 1]]
+    }
+
+    /// Candidates run `r` yields.
+    fn run_candidates(&self, r: usize) -> usize {
+        self.lefts(r).len() * (self.runs[r].1 - self.runs[r].0)
+    }
+
+    /// Split the runs into consecutive ranges of at least `target`
+    /// candidates each (the last may be smaller); runs no left parent
+    /// selects are left out. A run is never split.
+    pub(crate) fn chunks(&self, target: usize) -> Vec<Range<usize>> {
+        let mut chunks = Vec::new();
+        let (mut lo, mut acc) = (0usize, 0usize);
+        for r in 0..self.runs.len() {
+            acc += self.run_candidates(r);
+            if acc >= target {
+                chunks.push(lo..r + 1);
+                (lo, acc) = (r + 1, 0);
+            }
+        }
+        if acc > 0 {
+            chunks.push(lo..self.runs.len());
+        }
+        chunks
+    }
+
+    /// Generate the candidates of runs `runs`, partner by partner. Each
+    /// partner list is decided dense or sparse once, with the number of
+    /// its left parents as users ([`choose_dense`]); a dense build goes
+    /// into a buffer from `spare`, is probed by every left parent of the
+    /// run while it is hot, and then goes back to `spare`. Every pair is
+    /// joined by [`join_into`] or [`join_dense_into`], so codes,
+    /// supports, entries and the saturation flag match a pairwise
+    /// sparse join in any visiting order.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn generate(
+        &self,
+        set: &PilSet,
+        kept: &[usize],
+        gap: GapRequirement,
+        runs: Range<usize>,
+        out: &mut PilSet,
+        mut place: Placement<'_>,
+        spare: &mut Vec<Vec<u64>>,
+        counters: &mut JoinCounters,
+    ) {
+        debug_assert_eq!(out.level(), set.level() + 1);
+        let level = set.level();
+        for r in runs {
+            let lefts = self.lefts(r);
+            if lefts.is_empty() {
+                continue;
+            }
+            let (s, e) = self.runs[r];
             for (j, &m) in kept[s..e].iter().enumerate() {
                 let last = set.pattern_codes(m)[level - 1];
-                if sparse_pos.get(sp) == Some(&j) {
-                    out.push_batched(p1, last, &souts[sp], scratch.saturated[sp]);
-                    sp += 1;
-                } else {
-                    let dense = repr.get(m).expect("decided dense");
-                    out.push_candidate_dense(p1, last, set.entries(i), dense, gap, counters);
+                let b = set.entries(m);
+                let dense = choose_dense(b, lefts.len(), spare);
+                counters.dense_builds += dense.is_some() as u64;
+                for &(i, base) in lefts {
+                    let a = set.entries(i);
+                    let join = |arena: &mut Vec<(u32, u64)>| match &dense {
+                        // A buildable list never saturates a window.
+                        Some(d) => {
+                            join_dense_into(a, d, gap, arena, counters);
+                            false
+                        }
+                        None => join_into(a, b, gap, arena, counters),
+                    };
+                    let slot = base + j;
+                    let slot = match &mut place {
+                        Placement::Slot => Some(slot),
+                        Placement::Append(slots) => {
+                            slots.push(slot);
+                            None
+                        }
+                    };
+                    out.put_candidate(slot, set.pattern_codes(i), last, join);
+                }
+                if let Some(d) = dense {
+                    d.recycle(spare);
                 }
             }
-            repr.end_parent();
         }
     }
 }
@@ -691,44 +790,90 @@ pub(crate) fn generate_candidates(
 mod tests {
     use super::*;
     use crate::naive::support_dp;
+    use crate::prune::{PruneMode, TargetSpec};
+    use crate::result::MineOutcome;
     use perigap_seq::Sequence;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn gap(n: usize, m: usize) -> GapRequirement {
         GapRequirement::new(n, m).unwrap()
     }
 
-    /// A fresh cache sized for `set`.
-    fn cache_for(set: &PilSet) -> ReprCache {
-        let mut cache = ReprCache::new();
-        cache.begin(set.len());
-        cache
+    /// The left parents a level joins: every pattern of `set`.
+    fn all(set: &PilSet) -> Vec<usize> {
+        (0..set.len()).collect()
     }
 
-    /// `generate_candidates` with throwaway counters.
-    #[allow(clippy::too_many_arguments)]
-    fn gen(
+    /// Generate `kept`'s whole next level into `out` by slot, as the
+    /// serial drivers do.
+    fn gen_level(
         set: &PilSet,
         kept: &[usize],
-        runs: &[(usize, usize)],
         g: GapRequirement,
-        lo: usize,
-        hi: usize,
+        pruner: &Pruner,
         out: &mut PilSet,
-        repr: &mut ReprCache,
-    ) {
+    ) -> JoinCounters {
+        let plan = JoinPlan::new(set, kept, pruner);
+        out.presize(plan.candidates());
         let mut jc = JoinCounters::default();
-        generate_candidates(
+        let runs = 0..plan.runs();
+        plan.generate(
             set,
             kept,
-            runs,
             g,
-            lo,
-            hi,
+            runs,
             out,
-            repr,
+            Placement::Slot,
+            &mut Vec::new(),
             &mut jc,
-            &Pruner::default(),
         );
+        jc
+    }
+
+    /// Generate runs `runs` of the plan into `out` by appending, as one
+    /// pooled chunk does; returns the slots written.
+    fn chunk_into(
+        set: &PilSet,
+        plan: &JoinPlan,
+        g: GapRequirement,
+        runs: Range<usize>,
+        out: &mut PilSet,
+    ) -> Vec<usize> {
+        let mut slots = Vec::new();
+        let mut jc = JoinCounters::default();
+        let kept = all(set);
+        let place = Placement::Append(&mut slots);
+        plan.generate(set, &kept, g, runs, out, place, &mut Vec::new(), &mut jc);
+        slots
+    }
+
+    /// The plain left-major oracle: every pair with suffix(p1) =
+    /// prefix(p2) joined by `join_into`, in lexicographic order, left
+    /// parents vetted by `pruner` one by one.
+    fn left_major(
+        set: &PilSet,
+        kept: &[usize],
+        g: GapRequirement,
+        pruner: &Pruner,
+        out: &mut PilSet,
+    ) -> JoinCounters {
+        let level = set.level();
+        let mut jc = JoinCounters::default();
+        for &i in kept {
+            let p1 = set.pattern_codes(i);
+            if !pruner.admits_parent(p1, || set.support(i)) {
+                continue;
+            }
+            for &m in kept {
+                let p2 = set.pattern_codes(m);
+                if p1[1..] == p2[..level - 1] {
+                    let (a, b) = (set.entries(i), set.entries(m));
+                    out.push_candidate(p1, p2[level - 1], a, b, g, &mut jc);
+                }
+            }
+        }
+        jc
     }
 
     fn dna(text: &str) -> Sequence {
@@ -804,11 +949,8 @@ mod tests {
         let s = dna("ACGTTGCAACGTTACG");
         let g = gap(1, 2);
         let set = build_seed(&s, g, 3);
-        let kept: Vec<usize> = (0..set.len()).collect();
-        let runs = prefix_runs(&set, &kept);
         let mut out = PilSet::new(4);
-        let mut repr = cache_for(&set);
-        gen(&set, &kept, &runs, g, 0, kept.len(), &mut out, &mut repr);
+        gen_level(&set, &all(&set), g, &Pruner::default(), &mut out);
 
         // Naive: every ordered pair with suffix(p1) == prefix(p2).
         let mut expected: Vec<(Vec<u8>, Pil)> = Vec::new();
@@ -842,63 +984,257 @@ mod tests {
     #[test]
     fn candidate_generation_is_representation_invariant() {
         // Generation through the occupancy rule — dense probes for the
-        // well-filled suffix lists, batched sparse merges for the rest —
-        // must be byte-identical to one sparse join per candidate:
-        // codes, entries, bounds, and the saturation flag.
+        // well-filled partner lists, sparse merges for the rest — must
+        // be byte-identical to one sparse join per candidate: codes,
+        // entries, supports, and the saturation flag.
         let s = dna(&"ACGTTGCAACGTTACGGTCAACGT".repeat(12));
         for g in [gap(0, 2), gap(1, 3), gap(2, 5)] {
             let set = build_seed(&s, g, 3);
-            let kept: Vec<usize> = (0..set.len()).collect();
-            let runs = prefix_runs(&set, &kept);
+            let kept = all(&set);
             let mut out = PilSet::new(4);
-            let mut repr = cache_for(&set);
-            gen(&set, &kept, &runs, g, 0, kept.len(), &mut out, &mut repr);
-            let dense = (0..set.len()).filter(|&m| repr.get(m).is_some()).count();
-            assert!(dense > 0 && dense < set.len(), "both layouts under gap {g}");
+            let jc = gen_level(&set, &kept, g, &Pruner::default(), &mut out);
+            assert!(
+                jc.dense_builds > 0 && jc.dense_builds < set.len() as u64,
+                "both layouts under gap {g}: {jc:?}"
+            );
             let mut sparse = PilSet::new(4);
-            let mut jc = JoinCounters::default();
-            for i in 0..set.len() {
-                for j in 0..set.len() {
-                    let (p1, p2) = (set.pattern_codes(i), set.pattern_codes(j));
-                    if p1[1..] == p2[..2] {
-                        let (a, b) = (set.entries(i), set.entries(j));
-                        sparse.push_candidate(p1, p2[2], a, b, g, &mut jc);
+            let oracle = left_major(&set, &kept, g, &Pruner::default(), &mut sparse);
+            assert_eq!(out, sparse, "gap {g}");
+            assert_eq!(jc.joins, oracle.joins);
+        }
+    }
+
+    /// A random sorted level-3 set over `sigma` letters: each pattern
+    /// present with probability 3/4, its PIL a random run of offsets —
+    /// some packed (dense-worthy), some thin, counts small or, when
+    /// `hot`, large enough that a window sum overflows `u64`.
+    fn random_set(rng: &mut StdRng, sigma: u8) -> PilSet {
+        let mut set = PilSet::new(3);
+        for a in 0..sigma {
+            for b in 0..sigma {
+                for c in 0..sigma {
+                    if rng.gen_range(0..4) == 0 {
+                        continue;
                     }
+                    let mut x = rng.gen_range(1u32..20);
+                    let stride: u32 = if rng.gen_bool(0.5) { 2 } else { 9 };
+                    let mut entries = Vec::new();
+                    for _ in 0..rng.gen_range(0..40) {
+                        entries.push((x, rng.gen_range(1u64..4)));
+                        x += rng.gen_range(1..=stride);
+                    }
+                    set.push_pattern(&[a, b, c], &entries);
                 }
             }
-            assert_eq!(out, sparse, "gap {g}");
+        }
+        set
+    }
+
+    /// The same set with pattern `hot`'s list replaced by eight
+    /// consecutive offsets of count `u64::MAX / 2`: dense-worthy, but
+    /// its total overflows, so the build is refused and a sparse join
+    /// against it saturates.
+    fn with_hot_partner(set: &PilSet, hot: &[u8]) -> PilSet {
+        let big: Vec<(u32, u64)> = (1..=8).map(|x| (x, u64::MAX / 2)).collect();
+        let mut out = PilSet::new(set.level());
+        for i in 0..set.len() {
+            let codes = set.pattern_codes(i);
+            let entries = if codes == hot { &big } else { set.entries(i) };
+            out.push_pattern(codes, entries);
+        }
+        out
+    }
+
+    /// Partner-major generation against [`left_major`] on one set:
+    /// serially by slot, and as pooled chunks of `chunk` candidates
+    /// written round-robin into two workers and gathered. `make` builds
+    /// a fresh pruner in a fixed state; the oracle and each generation
+    /// get their own, and their prune counts must agree.
+    fn check_against_oracle(
+        set: &PilSet,
+        kept: &[usize],
+        g: GapRequirement,
+        floor: u128,
+        chunk: usize,
+        make: &dyn Fn() -> Pruner,
+    ) -> (PilSet, MineOutcome) {
+        let pruned = |p: &Pruner| {
+            let mut o = MineOutcome::default();
+            p.finish(&mut o);
+            o
+        };
+        let oracle_pruner = make();
+        let mut oracle = PilSet::new(4);
+        oracle.set_keep_floor(floor);
+        let ojc = left_major(set, kept, g, &oracle_pruner, &mut oracle);
+        let expect = pruned(&oracle_pruner);
+
+        let serial_pruner = make();
+        let mut serial = PilSet::new(4);
+        serial.set_keep_floor(floor);
+        let sjc = gen_level(set, kept, g, &serial_pruner, &mut serial);
+        assert_eq!(serial, oracle);
+        assert_eq!(serial.saturated(), oracle.saturated());
+        assert_eq!(sjc.joins, ojc.joins);
+        let got = pruned(&serial_pruner);
+        assert_eq!(got.stats.pruned_by_floor, expect.stats.pruned_by_floor);
+        assert_eq!(got.stats.pruned_by_target, expect.stats.pruned_by_target);
+
+        let plan = JoinPlan::new(set, kept, &make());
+        let mut workers = [PilSet::new(4), PilSet::new(4)];
+        let mut placements = Vec::new();
+        let mut jc = JoinCounters::default();
+        for (c, runs) in plan.chunks(chunk).into_iter().enumerate() {
+            let w = &mut workers[c % 2];
+            w.set_keep_floor(floor);
+            let first = w.len();
+            let mut slots = Vec::new();
+            let place = Placement::Append(&mut slots);
+            plan.generate(set, kept, g, runs, w, place, &mut Vec::new(), &mut jc);
+            placements.extend(
+                slots
+                    .into_iter()
+                    .enumerate()
+                    .map(|(k, s)| (c % 2, first + k, s)),
+            );
+        }
+        let gathered = PilSet::gather(4, workers.into(), plan.candidates(), placements);
+        assert_eq!(gathered, oracle);
+        assert_eq!(jc.joins, ojc.joins);
+        (oracle, expect)
+    }
+
+    #[test]
+    fn partner_major_generation_matches_left_major_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let (mut dense_seen, mut floored, mut saturated) = (false, false, false);
+        let (mut by_target, mut by_floor) = (0, 0);
+        for round in 0..24 {
+            let sigma = [2u8, 3, 4][round % 3];
+            let mut set = random_set(&mut rng, sigma);
+            if round % 4 == 3 {
+                set = with_hot_partner(&set, &[0, 0, 0]);
+            }
+            let kept: Vec<usize> = all(&set)
+                .into_iter()
+                .filter(|_| rng.gen_bool(0.9))
+                .collect();
+            let g = gap(rng.gen_range(0..2), rng.gen_range(2..5));
+            let chunk = rng.gen_range(1..12);
+            let mut probe = PilSet::new(4);
+            let jc = gen_level(&set, &kept, g, &Pruner::default(), &mut probe);
+            dense_seen |= jc.dense_builds > 0;
+            saturated |= probe.saturated();
+
+            // Plain, then under a keep floor at the median support.
+            let plain = || Pruner::default();
+            check_against_oracle(&set, &kept, g, 0, chunk, &plain);
+            let mut sups = probe.supports.clone();
+            sups.sort_unstable();
+            let floor = sups.get(sups.len() / 2).copied().unwrap_or(0);
+            let (kept_floor, _) = check_against_oracle(&set, &kept, g, floor, chunk, &plain);
+            floored |= kept_floor.entry_count() < probe.entry_count();
+
+            // A symbol target prunes left parents outside its cone.
+            let target = || {
+                let spec = TargetSpec::symbols(&[0, 1], sigma as usize);
+                Pruner::new(&PruneMode::targeted(spec), g.flexibility())
+            };
+            by_target += check_against_oracle(&set, &kept, g, 0, chunk, &target)
+                .1
+                .stats
+                .pruned_by_target;
+
+            // A rigid-gap top-k floor, raised to the median parent
+            // support, prunes the left parents under it.
+            let rigid = gap(1, 1);
+            let median = {
+                let mut s: Vec<u128> = kept.iter().map(|&i| set.support(i)).collect();
+                s.sort_unstable();
+                s.get(s.len() / 2).copied().unwrap_or(0)
+            };
+            let top_k = || {
+                let p = Pruner::new(&PruneMode::top_k(2), rigid.flexibility());
+                p.admits_result(&[0, 0, 0], median);
+                p.admits_result(&[0, 0, 1], median);
+                p
+            };
+            by_floor += check_against_oracle(&set, &kept, rigid, 0, chunk, &top_k)
+                .1
+                .stats
+                .pruned_by_floor;
+        }
+        assert!(dense_seen, "some partner list went dense");
+        assert!(floored, "the keep floor dropped entries");
+        assert!(saturated, "an overflowing partner saturated its joins");
+        assert!(by_target > 0 && by_floor > 0, "{by_target} / {by_floor}");
+    }
+
+    #[test]
+    fn plan_buckets_left_parents_by_partner_run() {
+        let s = dna(&"ACGTTGCAACGTTACGGTCA".repeat(4));
+        let g = gap(0, 3);
+        let set = build_seed(&s, g, 3);
+        let kept = all(&set);
+        let plan = JoinPlan::new(&set, &kept, &Pruner::default());
+        // Every left parent lands in the run its suffix selects, bases
+        // step by run lengths in code order, and the count is the sum.
+        let mut bases: Vec<usize> = Vec::new();
+        for r in 0..plan.runs() {
+            let (s_, e) = plan.runs[r];
+            for &(i, base) in plan.lefts(r) {
+                assert_eq!(set.pattern_codes(i)[1..], set.pattern_codes(kept[s_])[..2]);
+                bases.push(base);
+                assert!(base + (e - s_) <= plan.candidates());
+            }
+        }
+        bases.sort_unstable();
+        assert_eq!(bases.first(), Some(&0));
+        let total: usize = (0..plan.runs()).map(|r| plan.run_candidates(r)).sum();
+        assert_eq!(total, plan.candidates());
+        // Chunks tile the selected runs in order, each at the target
+        // but the last.
+        for target in [1, 7, 40, usize::MAX] {
+            let chunks = plan.chunks(target);
+            for w in chunks.windows(2) {
+                assert_eq!(w[0].end, w[1].start);
+            }
+            let sizes: Vec<usize> = chunks
+                .iter()
+                .map(|c| c.clone().map(|r| plan.run_candidates(r)).sum())
+                .collect();
+            assert_eq!(sizes.iter().sum::<usize>(), plan.candidates());
+            let (last, rest) = sizes.split_last().unwrap();
+            assert!(rest.iter().all(|&n| n >= target), "target {target}");
+            assert!(*last > 0);
         }
     }
 
     #[test]
     fn concat_preserves_chunked_generation() {
+        // The DFS engine's chunks are consecutive left parents, each
+        // pushing its survivors in code order: concatenating the parts
+        // (an empty one included) is the whole generation.
         let s = dna("ACGTTGCAACGTTACGGTCA");
         let g = gap(0, 2);
         let set = build_seed(&s, g, 3);
-        let kept: Vec<usize> = (0..set.len()).collect();
-        let runs = prefix_runs(&set, &kept);
         let mut whole = PilSet::new(4);
-        let mut repr = cache_for(&set);
-        gen(&set, &kept, &runs, g, 0, kept.len(), &mut whole, &mut repr);
-        let mid = kept.len() / 2;
-        let mut a = PilSet::new(4);
-        let mut b = PilSet::new(4);
-        // Chunked generation rebuilds the cache per chunk, as the
-        // parallel engine does.
-        let mut repr_a = cache_for(&set);
-        let mut repr_b = cache_for(&set);
-        gen(&set, &kept, &runs, g, 0, mid, &mut a, &mut repr_a);
-        gen(&set, &kept, &runs, g, mid, kept.len(), &mut b, &mut repr_b);
-        assert_eq!(PilSet::concat(4, [a, b]), whole);
-    }
-
-    /// Generate `kept[lo..hi]`'s candidates into `out` — one pooled
-    /// chunk written into a worker's set.
-    fn chunk_into(set: &PilSet, g: GapRequirement, lo: usize, hi: usize, out: &mut PilSet) {
-        let kept: Vec<usize> = (0..set.len()).collect();
-        let runs = prefix_runs(set, &kept);
-        let mut repr = cache_for(set);
-        gen(set, &kept, &runs, g, lo, hi, out, &mut repr);
+        gen_level(&set, &all(&set), g, &Pruner::default(), &mut whole);
+        let (a, b) = (whole.len() / 3, 2 * whole.len() / 3);
+        let mut parts = [
+            PilSet::new(4),
+            PilSet::new(4),
+            PilSet::new(4),
+            PilSet::new(4),
+        ];
+        for i in 0..whole.len() {
+            let part = &mut parts[(i >= a) as usize + 2 * (i >= b) as usize];
+            part.push_pattern(whole.pattern_codes(i), whole.entries(i));
+        }
+        assert!(parts[2].is_empty() && !parts[1].is_empty() && !parts[3].is_empty());
+        let joined = PilSet::concat(4, parts);
+        assert_eq!(joined.arenas.len(), 4);
+        assert_eq!(joined, whole);
     }
 
     #[test]
@@ -906,21 +1242,26 @@ mod tests {
         let s = dna("ACGTTGCAACGTTACGGTCAAGTCCATGA");
         let g = gap(0, 3);
         let set = build_seed(&s, g, 3);
-        let n = set.len();
+        let kept = all(&set);
         let mut whole = PilSet::new(4);
-        chunk_into(&set, g, 0, n, &mut whole);
-        // Three chunks on two workers, claimed out of order: worker 0
-        // writes chunks 0 and 2, worker 1 chunk 1.
+        gen_level(&set, &kept, g, &Pruner::default(), &mut whole);
+        let plan = JoinPlan::new(&set, &kept, &Pruner::default());
+        let n = plan.runs();
+        // Three chunks of runs on two workers, claimed out of order:
+        // worker 0 writes chunks 2 and 0, worker 1 chunk 1.
         let (a, b) = (n / 3, 2 * n / 3);
         let mut w0 = PilSet::new(4);
         let mut w1 = PilSet::new(4);
-        chunk_into(&set, g, b, n, &mut w0);
-        let split = w0.len();
-        chunk_into(&set, g, 0, a, &mut w0);
-        chunk_into(&set, g, a, b, &mut w1);
-        let (w0_len, w1_len) = (w0.len(), w1.len());
-        let pieces = [(0, split..w0_len), (1, 0..w1_len), (0, 0..split)];
-        let gathered = PilSet::gather(4, vec![w0, w1], pieces);
+        let mut s0 = chunk_into(&set, &plan, g, b..n, &mut w0);
+        s0.extend(chunk_into(&set, &plan, g, 0..a, &mut w0));
+        let s1 = chunk_into(&set, &plan, g, a..b, &mut w1);
+        assert_eq!(s0.len(), w0.len());
+        let placements = s0
+            .into_iter()
+            .enumerate()
+            .map(|(k, slot)| (0, k, slot))
+            .chain(s1.into_iter().enumerate().map(|(k, slot)| (1, k, slot)));
+        let gathered = PilSet::gather(4, vec![w0, w1], plan.candidates(), placements);
         assert_eq!(gathered.arenas.len(), 2);
         assert_eq!(whole.arenas.len(), 1);
         assert_eq!(gathered, whole, "equality ignores the arena layout");
@@ -949,19 +1290,17 @@ mod tests {
         let s = dna(&"ACGTTGCAACGTTACGGTCA".repeat(6));
         let g = gap(0, 3);
         let set = build_seed(&s, g, 3);
-        let n = set.len();
+        let kept = all(&set);
+        let none = Pruner::default();
         let mut full = PilSet::new(4);
-        chunk_into(&set, g, 0, n, &mut full);
+        gen_level(&set, &kept, g, &none, &mut full);
         let mut sups = full.supports.clone();
         sups.sort_unstable();
         let floor = sups[sups.len() / 2];
         assert!(sups[0] < floor, "both sides of the floor are populated");
-        let floored_chunk = |lo: usize, hi: usize, out: &mut PilSet| {
-            out.set_keep_floor(floor);
-            chunk_into(&set, g, lo, hi, out);
-        };
         let mut floored = PilSet::new(4);
-        floored_chunk(0, n, &mut floored);
+        floored.set_keep_floor(floor);
+        gen_level(&set, &kept, g, &none, &mut floored);
         assert_eq!(floored.codes, full.codes);
         assert_eq!(floored.supports, full.supports);
         assert_eq!(floored.saturated(), full.saturated());
@@ -984,31 +1323,32 @@ mod tests {
             floored.len() * per_pattern + floored.entry_count() * entry
         );
 
-        // `gather` and `concat` carry supports with their spans.
-        let mid = n / 2;
+        // `gather` carries supports with their spans.
+        let plan = JoinPlan::new(&set, &kept, &none);
+        let mid = plan.runs() / 2;
         let (mut a, mut b) = (PilSet::new(4), PilSet::new(4));
-        floored_chunk(mid, n, &mut a);
-        let split = a.len();
-        floored_chunk(0, mid, &mut a);
-        floored_chunk(mid, mid, &mut b);
-        let a_len = a.len();
-        let gathered = PilSet::gather(4, vec![a, b], [(0, split..a_len), (1, 0..0), (0, 0..split)]);
+        a.set_keep_floor(floor);
+        b.set_keep_floor(floor);
+        let sa = chunk_into(&set, &plan, g, mid..plan.runs(), &mut a);
+        let sb = chunk_into(&set, &plan, g, 0..mid, &mut b);
+        let placements = sa
+            .into_iter()
+            .enumerate()
+            .map(|(k, slot)| (0, k, slot))
+            .chain(sb.into_iter().enumerate().map(|(k, slot)| (1, k, slot)));
+        let gathered = PilSet::gather(4, vec![a, b], plan.candidates(), placements);
         assert_eq!(gathered, floored);
-        let (mut lo, mut hi) = (PilSet::new(4), PilSet::new(4));
-        floored_chunk(0, mid, &mut lo);
-        floored_chunk(mid, n, &mut hi);
-        assert_eq!(PilSet::concat(4, [lo, hi]), floored);
 
         // `reset` and `with_arena` clear the floor and the supports.
         let mut reused = floored.clone();
         reused.reset(4);
         assert!(reused.supports.is_empty());
-        chunk_into(&set, g, 0, n, &mut reused);
+        gen_level(&set, &kept, g, &none, &mut reused);
         assert_eq!(reused, full);
         let arena = floored.into_arenas().swap_remove(0);
         let mut recycled = PilSet::with_arena(4, arena);
         assert!(recycled.supports.is_empty());
-        chunk_into(&set, g, 0, n, &mut recycled);
+        gen_level(&set, &kept, g, &none, &mut recycled);
         assert_eq!(recycled, full);
 
         // Supports alone tell sets apart: a truncated pattern keeps its
@@ -1031,21 +1371,22 @@ mod tests {
         let g = gap(0, 3);
         let big = build_seed(&s, g, 4);
         let small_parent = build_seed(&s, g, 3);
+        let plan = JoinPlan::new(&small_parent, &all(&small_parent), &Pruner::default());
         let mut fresh = PilSet::new(4);
-        chunk_into(&small_parent, g, 0, 4, &mut fresh);
+        chunk_into(&small_parent, &plan, g, 0..2, &mut fresh);
         assert!(fresh.entry_count() < big.entry_count());
         let old_len = big.entry_count();
         let mut arenas = big.into_arenas();
         let mut recycled = PilSet::with_arena(4, arenas.pop().unwrap());
         assert!(recycled.arenas[0].capacity() >= old_len);
-        chunk_into(&small_parent, g, 0, 4, &mut recycled);
+        chunk_into(&small_parent, &plan, g, 0..2, &mut recycled);
         assert_eq!(recycled, fresh);
         assert_eq!(recycled.entry_count(), fresh.entry_count());
         assert_eq!(recycled.arena_bytes(), fresh.arena_bytes());
         // `reset` recycles the same way.
         recycled.reset(4);
         assert_eq!(recycled.entry_count(), 0);
-        chunk_into(&small_parent, g, 0, 4, &mut recycled);
+        chunk_into(&small_parent, &plan, g, 0..2, &mut recycled);
         assert_eq!(recycled, fresh);
     }
 

@@ -1031,12 +1031,7 @@ pub fn mine_corpus_traced<O: MineObserver>(
     observer: &mut O,
 ) -> Result<CorpusOutcome, MineError> {
     let started = Instant::now();
-    if !(rho > 0.0 && rho <= 1.0) {
-        return Err(MineError::InvalidThreshold(rho));
-    }
-    if config.mpp.start_level == 0 {
-        return Err(MineError::InvalidM(0));
-    }
+    crate::mpp::check_request(rho, &config.mpp)?;
     assert!(config.threads >= 1, "need at least one thread");
     let n_shards = corpus.len();
     let mut stats = CorpusStats {

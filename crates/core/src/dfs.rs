@@ -366,6 +366,7 @@ fn eager_generate(
             }
         }
     }
+    st.jc.dense_builds += repr.builds();
     st
 }
 
@@ -1298,6 +1299,7 @@ pub(crate) fn run_hybrid<O: MineObserver>(
             probed: agg.jc.probed,
             reallocs: agg.jc.reallocs,
             bytes_moved: agg.jc.bytes_moved,
+            dense_builds: agg.jc.dense_builds,
             // Subtree tasks interleave levels across workers, so no
             // per-level fault or kernel-time window exists here.
             minflt: 0,

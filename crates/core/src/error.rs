@@ -26,6 +26,14 @@ pub enum MineError {
     },
     /// The `m` parameter of MPPm must be at least 1.
     InvalidM(usize),
+    /// `MppConfig::max_level` caps the mine below its first level, so
+    /// no pattern could ever be mined.
+    MaxLevelBelowStart {
+        /// The requested deepest level.
+        max_level: usize,
+        /// The first mined level.
+        start_level: usize,
+    },
     /// The enumeration baseline would exceed its candidate budget.
     EnumerationBudget {
         /// Candidates the next level would require.
@@ -139,6 +147,13 @@ impl fmt::Display for MineError {
                 "sequence of length {len} cannot contain any pattern (needs ≥ {needed})"
             ),
             MineError::InvalidM(m) => write!(f, "MPPm parameter m must be ≥ 1, got {m}"),
+            MineError::MaxLevelBelowStart {
+                max_level,
+                start_level,
+            } => write!(
+                f,
+                "max level {max_level} is below the start level {start_level}: nothing could be mined"
+            ),
             MineError::EnumerationBudget { required, budget } => write!(
                 f,
                 "enumeration would generate {required} candidates, over the budget of {budget}"
@@ -210,6 +225,12 @@ mod tests {
             .to_string()
             .contains('9'));
         assert!(MineError::InvalidM(0).to_string().contains("m must be"));
+        assert!(MineError::MaxLevelBelowStart {
+            max_level: 2,
+            start_level: 3
+        }
+        .to_string()
+        .contains("max level 2 is below the start level 3"));
         let ceiling = MineError::MemoryCeiling {
             limit: 1024,
             required: 4096,

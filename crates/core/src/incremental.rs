@@ -1578,22 +1578,10 @@ pub fn mine_incremental<O: MineObserver>(
                 Ok((n_used, em, em_elapsed)) => {
                     let started = Instant::now();
                     let rho_exact = BigRatio::from_f64_exact(rho);
-                    // Validate exactly like the engines would —
-                    // `mpp::prepare`'s checks, without paying for the
-                    // offset-count table the cascade builds itself.
-                    if !(rho > 0.0 && rho <= 1.0) {
-                        return Err(MineError::InvalidThreshold(rho));
-                    }
-                    if config.start_level == 0 {
-                        return Err(MineError::InvalidM(0));
-                    }
-                    let needed = gap.min_span(config.start_level);
-                    if seq.len() < needed {
-                        return Err(MineError::SequenceTooShort {
-                            len: seq.len(),
-                            needed,
-                        });
-                    }
+                    // Validate exactly like the engines would, without
+                    // paying for the offset-count table the cascade
+                    // builds itself.
+                    crate::mpp::validate(seq, gap, rho, config)?;
                     let mut seeded = false;
                     let mut emit = |evaluated: usize, stats: &LevelStats, kept: usize| {
                         if !seeded {
@@ -1629,6 +1617,7 @@ pub fn mine_incremental<O: MineObserver>(
                             probed: 0,
                             reallocs: 0,
                             bytes_moved: 0,
+                            dense_builds: 0,
                             minflt: 0,
                             user: Duration::ZERO,
                             sys: Duration::ZERO,
@@ -1832,6 +1821,7 @@ fn emit_synthetic_trace<O: MineObserver>(
             probed: 0,
             reallocs: 0,
             bytes_moved: 0,
+            dense_builds: 0,
             minflt: 0,
             user: Duration::ZERO,
             sys: Duration::ZERO,

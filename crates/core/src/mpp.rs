@@ -7,8 +7,7 @@
 //! shared with [`crate::mppm`], which differs only in how `n` is
 //! chosen.
 
-use crate::adaptive::ReprCache;
-use crate::arena::{build_seed, generate_candidates, prefix_runs, PilSet};
+use crate::arena::{build_seed, JoinPlan, PilSet, Placement};
 use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
@@ -149,19 +148,33 @@ pub(crate) fn check_ceiling(limit: Option<usize>, live: usize) -> Result<(), Min
     }
 }
 
-/// Validate inputs and build the shared counting table.
-pub(crate) fn prepare(
-    seq: &Sequence,
-    gap: GapRequirement,
-    rho: f64,
-    config: &MppConfig,
-) -> Result<(OffsetCounts, BigRatio), MineError> {
+/// Validate the threshold and the level bounds of a request — the
+/// checks that need no sequence (the corpus front-end's too).
+pub(crate) fn check_request(rho: f64, config: &MppConfig) -> Result<(), MineError> {
     if !(rho > 0.0 && rho <= 1.0) {
         return Err(MineError::InvalidThreshold(rho));
     }
     if config.start_level == 0 {
         return Err(MineError::InvalidM(0));
     }
+    match config.max_level {
+        Some(max_level) if max_level < config.start_level => Err(MineError::MaxLevelBelowStart {
+            max_level,
+            start_level: config.start_level,
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// Validate a request against `seq`: [`check_request`], plus a
+/// sequence long enough for the start level.
+pub(crate) fn validate(
+    seq: &Sequence,
+    gap: GapRequirement,
+    rho: f64,
+    config: &MppConfig,
+) -> Result<(), MineError> {
+    check_request(rho, config)?;
     let needed = gap.min_span(config.start_level);
     if seq.len() < needed {
         return Err(MineError::SequenceTooShort {
@@ -169,6 +182,17 @@ pub(crate) fn prepare(
             needed,
         });
     }
+    Ok(())
+}
+
+/// Validate inputs and build the shared counting table.
+pub(crate) fn prepare(
+    seq: &Sequence,
+    gap: GapRequirement,
+    rho: f64,
+    config: &MppConfig,
+) -> Result<(OffsetCounts, BigRatio), MineError> {
+    validate(seq, gap, rho, config)?;
     Ok((
         OffsetCounts::new(seq.len(), gap),
         BigRatio::from_f64_exact(rho),
@@ -222,9 +246,9 @@ pub(crate) fn run_levelwise<O: MineObserver>(
     // One reused output set: the join fan-out writes into buffers that
     // survive across levels.
     let mut next = PilSet::new(start + 1);
-    // One reused representation cache: per-suffix dense builds live
-    // only for the level that decided them.
-    let mut repr = ReprCache::new();
+    // The recycled dense-build buffer: one partner list's prefix sums
+    // are live at a time.
+    let mut dense_spare: Vec<Vec<u64>> = Vec::new();
     let mut kept: Vec<usize> = Vec::new();
     let mut level = start;
     let mut candidates_at_level: u128 = sigma.saturating_pow(start as u32);
@@ -297,6 +321,7 @@ pub(crate) fn run_levelwise<O: MineObserver>(
                 probed: jc.probed,
                 reallocs: jc.reallocs,
                 bytes_moved: jc.bytes_moved,
+                dense_builds: jc.dense_builds,
                 minflt,
                 user,
                 sys,
@@ -319,24 +344,23 @@ pub(crate) fn run_levelwise<O: MineObserver>(
             break;
         }
 
-        // Gen(L̂): join pairs with suffix(P1) = prefix(P2) (Section 5.1).
+        // Gen(L̂): join pairs with suffix(P1) = prefix(P2) (Section 5.1),
+        // partner-major, each candidate written into its slot.
         let join_started = Instant::now();
-        let runs = prefix_runs(&current, &kept);
+        let plan = JoinPlan::new(&current, &kept, &pruner);
         next.reset(level + 1);
         next.set_keep_floor(bounds.keep_floor(level + 1, hard_cap));
-        repr.begin(current.len());
+        next.presize(plan.candidates());
         let mut jc = JoinCounters::default();
-        generate_candidates(
+        plan.generate(
             &current,
             &kept,
-            &runs,
             gap,
-            0,
-            kept.len(),
+            0..plan.runs(),
             &mut next,
-            &mut repr,
+            Placement::Slot,
+            &mut dense_spare,
             &mut jc,
-            &pruner,
         );
         let live = current.arena_bytes() + next.arena_bytes();
         peak = peak.max(live);
@@ -537,6 +561,45 @@ mod tests {
             mpp(&tiny, gap(9, 12), 0.1, 5, MppConfig::default()),
             Err(MineError::SequenceTooShort { .. })
         ));
+    }
+
+    #[test]
+    fn max_level_below_start_is_a_typed_error() {
+        // A cap under the start level used to mine nothing and succeed.
+        let s = Sequence::dna(&"ACGTT".repeat(40)).unwrap();
+        let g = gap(0, 2);
+        let capped = |max_level: usize| MppConfig {
+            max_level: Some(max_level),
+            ..MppConfig::default()
+        };
+        for max_level in [0, 1, 2] {
+            let err = mpp(&s, g, 0.005, 8, capped(max_level)).unwrap_err();
+            assert_eq!(
+                err,
+                MineError::MaxLevelBelowStart {
+                    max_level,
+                    start_level: 3
+                }
+            );
+            assert!(err.to_string().contains("below the start level 3"), "{err}");
+            // Every engine shares the check through `prepare`.
+            assert_eq!(
+                crate::reference::mpp_reference(&s, g, 0.005, 8, capped(max_level), 1).unwrap_err(),
+                err
+            );
+            assert_eq!(
+                crate::parallel::mpp_parallel(&s, g, 0.005, 8, capped(max_level), 2).unwrap_err(),
+                err
+            );
+            assert_eq!(
+                crate::mppm::mppm(&s, g, 0.005, 2, capped(max_level)).unwrap_err(),
+                err
+            );
+        }
+        // A cap at the start level mines exactly that level.
+        let at_start = mpp(&s, g, 0.005, 8, capped(3)).unwrap();
+        assert!(!at_start.frequent.is_empty());
+        assert!(at_start.frequent.iter().all(|f| f.len() == 3));
     }
 
     #[test]

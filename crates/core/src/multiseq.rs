@@ -298,6 +298,7 @@ pub fn mine_collection_traced<O: MineObserver>(
                 probed: 0,
                 reallocs: 0,
                 bytes_moved: 0,
+                dense_builds: 0,
                 minflt: 0,
                 user: Duration::ZERO,
                 sys: Duration::ZERO,

@@ -6,22 +6,22 @@
 //! with the join fan-out spread over a **persistent worker pool**: the
 //! threads are spawned once per mine and live for the whole run.
 //! Each level publishes one [`LevelJob`] (the kept generation, its
-//! prefix runs, and an atomic chunk cursor); the main thread and every
-//! worker *steal* chunks of left-parent indices from the cursor until
-//! the level is drained, so a skewed chunk cannot stall the level the
-//! way statically partitioned spawns could.
+//! [`JoinPlan`], and an atomic chunk cursor); the main thread and every
+//! worker *steal* chunks — consecutive ranges of partner runs — from
+//! the cursor until the level is drained, so a skewed chunk cannot
+//! stall the level the way statically partitioned spawns could.
 //!
-//! Determinism is preserved: chunk results are gathered in chunk-index
-//! order (chunks partition the sorted kept slice, so concatenation is
-//! already globally sorted) and the final outcome is sorted exactly
-//! like the serial engine's. Output is byte-identical to
-//! [`crate::mpp::mpp`].
+//! Determinism is preserved: the plan fixes every candidate's
+//! lexicographic slot before any join, each chunk reports the slot of
+//! every candidate it wrote, and the child is assembled by slot, so the
+//! generation is the serial engine's whichever thread ran which chunk.
+//! Output is byte-identical to [`crate::mpp::mpp`].
 //!
 //! ## Memory
 //!
 //! Each worker owns a persistent output [`PilSet`]; a chunk appends its
-//! candidates there and reports only its pattern range. The joined
-//! child generation is [gathered](PilSet::gather) from those ranges and
+//! candidates there and reports their pattern range and slots. The
+//! joined child generation is [gathered](PilSet::gather) by slot and
 //! takes the workers' arenas over without copying an entry, and the
 //! dead parent's arenas become the next level's outputs — two buffer
 //! sets alternating as in Figure 3, so a level faults in fresh pages
@@ -40,8 +40,7 @@
 //! (`JoinHandle::is_finished` during receive timeouts) covers the
 //! pathological case of a worker dying without managing to report.
 
-use crate::adaptive::ReprCache;
-use crate::arena::{build_seed, generate_candidates, prefix_runs, PilSet};
+use crate::arena::{build_seed, JoinPlan, PilSet, Placement};
 use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
@@ -71,7 +70,8 @@ pub(crate) const PARALLEL_THRESHOLD: usize = 256;
 /// chunk is absorbed by the others...
 pub(crate) const CHUNKS_PER_THREAD: usize = 8;
 
-/// ...but never bother stealing fewer than this many left parents.
+/// ...but never bother stealing fewer than this many candidates (the
+/// breadth-first engine) or left parents (the hybrid DFS engine).
 pub(crate) const MIN_CHUNK: usize = 32;
 
 /// How long the merge loop waits between liveness checks of the worker
@@ -227,43 +227,40 @@ pub(crate) trait PoolJob: Send + Sync + 'static {
 }
 
 /// One level's join fan-out, shared with the pool. Workers claim chunk
-/// indices from `cursor` until it passes `n_chunks`.
+/// indices from `cursor` until it passes `chunks.len()`.
 struct LevelJob {
     /// The current (kept-filtered inputs) generation.
     set: PilSet,
     /// Indices into `set` that survived the L̂ bound, ascending.
     kept: Vec<usize>,
-    /// Equal-prefix runs over `kept` (see [`crate::arena::prefix_runs`]).
-    runs: Vec<(usize, usize)>,
+    /// The level's partner runs, bucketed left parents and slots.
+    plan: JoinPlan,
+    /// Chunk `c` generates the partner runs `chunks[c]`.
+    chunks: Vec<Range<usize>>,
     gap: GapRequirement,
     next_level: usize,
-    chunk: usize,
-    n_chunks: usize,
     cursor: AtomicUsize,
     hooks: PoolHooks,
-    /// Shared pruning state; floor reads inside a chunk see raises from
-    /// every other thread's already-merged levels.
-    pruner: Pruner,
 }
 
 /// One worker's persistent output state, lent to every level's job.
 /// Its candidates go into `out`, whose arena becomes part of the child
-/// generation once the level is joined; `repr` keeps the worker's
-/// recycled dense buffers.
+/// generation once the level is joined; `dense` holds the worker's
+/// recycled dense-build buffer.
 struct LevelScratch {
     /// The worker id, i.e. the index of `out` among the level's parts.
     worker: usize,
     out: PilSet,
-    /// Parent-scoped: a chunk is a run of consecutive left parents and
-    /// almost never meets a partner group twice (see [`ReprCache`]).
-    repr: ReprCache,
+    dense: Vec<Vec<u64>>,
 }
 
 /// One chunk's candidates: patterns `range` of worker `worker`'s `out`,
-/// with the chunk's join counters (merged level-wide by the caller).
+/// whose `k`-th belongs at slot `slots[k]` of the child, with the
+/// chunk's join counters (merged level-wide by the caller).
 struct ChunkOut {
     worker: usize,
     range: Range<usize>,
+    slots: Vec<usize>,
     jc: JoinCounters,
 }
 
@@ -272,7 +269,7 @@ impl PoolJob for LevelJob {
     type Local = LevelScratch;
 
     fn n_items(&self) -> usize {
-        self.n_chunks
+        self.chunks.len()
     }
 
     fn cursor(&self) -> &AtomicUsize {
@@ -287,29 +284,26 @@ impl PoolJob for LevelJob {
         self.next_level
     }
 
-    /// Generate the candidates whose left parent lies in chunk `c`,
-    /// appending them to the worker's output set.
+    /// Generate the candidates of chunk `c`'s partner runs, appending
+    /// them to the worker's output set.
     fn process(&self, c: usize, scratch: &mut LevelScratch) -> ChunkOut {
-        let lo = c * self.chunk;
-        let hi = (lo + self.chunk).min(self.kept.len());
         let first = scratch.out.len();
-        scratch.repr.begin(self.set.len());
+        let mut slots = Vec::new();
         let mut jc = JoinCounters::default();
-        generate_candidates(
+        self.plan.generate(
             &self.set,
             &self.kept,
-            &self.runs,
             self.gap,
-            lo,
-            hi,
+            self.chunks[c].clone(),
             &mut scratch.out,
-            &mut scratch.repr,
+            Placement::Append(&mut slots),
+            &mut scratch.dense,
             &mut jc,
-            &self.pruner,
         );
         ChunkOut {
             worker: scratch.worker,
             range: first..scratch.out.len(),
+            slots,
             jc,
         }
     }
@@ -640,12 +634,9 @@ fn run_parallel<O: MineObserver>(
         .map(|worker| LevelScratch {
             worker,
             out: PilSet::default(),
-            repr: ReprCache::new().per_parent(),
+            dense: Vec::new(),
         })
         .collect();
-    // Below the pool threshold a level runs on this thread in one pass,
-    // where the whole-level dense cache gets its σ-fold reuse.
-    let mut serial_repr = ReprCache::new();
 
     let mut stats = MineStats {
         n_used: n,
@@ -727,6 +718,7 @@ fn run_parallel<O: MineObserver>(
                 probed: jc.probed,
                 reallocs: jc.reallocs,
                 bytes_moved: jc.bytes_moved,
+                dense_builds: jc.dense_builds,
                 minflt,
                 user,
                 sys,
@@ -751,7 +743,8 @@ fn run_parallel<O: MineObserver>(
 
         // Join fan-out: stolen in chunks when it is worth the handoff.
         let join_started = Instant::now();
-        let runs = prefix_runs(&current, &kept);
+        let plan = JoinPlan::new(&current, &kept, &pruner);
+        let total = plan.candidates();
         // The parents move into the job below; their size is part of
         // the live footprint either way.
         let parent_bytes = current.arena_bytes();
@@ -760,11 +753,8 @@ fn run_parallel<O: MineObserver>(
         let mut level_jc = JoinCounters::default();
         let (next, parent) = match &pool {
             Some(pool) if kept.len() >= PARALLEL_THRESHOLD => {
-                let chunk = kept
-                    .len()
-                    .div_ceil(threads * CHUNKS_PER_THREAD)
-                    .max(MIN_CHUNK);
-                let n_chunks = kept.len().div_ceil(chunk);
+                let target = total.div_ceil(threads * CHUNKS_PER_THREAD).max(MIN_CHUNK);
+                let chunks = plan.chunks(target);
                 for s in &mut scratches {
                     s.out = PilSet::with_arena(level + 1, spare.pop().unwrap_or_default());
                     s.out.set_keep_floor(floor);
@@ -772,14 +762,12 @@ fn run_parallel<O: MineObserver>(
                 let job = Arc::new(LevelJob {
                     set: std::mem::take(&mut current),
                     kept: std::mem::take(&mut kept),
-                    runs,
+                    plan,
+                    chunks,
                     gap,
                     next_level: level + 1,
-                    chunk,
-                    n_chunks,
                     cursor: AtomicUsize::new(0),
                     hooks,
-                    pruner: pruner.clone(),
                 });
                 let run = pool.run_with(job, std::mem::take(&mut scratches))?;
                 observer.on_pool(&run.event);
@@ -795,24 +783,25 @@ fn run_parallel<O: MineObserver>(
                 for out in &run.outs {
                     level_jc.absorb(&out.jc);
                 }
-                let pieces = run.outs.into_iter().map(|o| (o.worker, o.range));
-                (PilSet::gather(level + 1, parts, pieces), job.set)
+                let placements = run.outs.into_iter().flat_map(|o| {
+                    let worker = o.worker;
+                    o.range.zip(o.slots).map(move |(k, slot)| (worker, k, slot))
+                });
+                (PilSet::gather(level + 1, parts, total, placements), job.set)
             }
             _ => {
                 let mut out = PilSet::with_arena(level + 1, spare.pop().unwrap_or_default());
                 out.set_keep_floor(floor);
-                serial_repr.begin(current.len());
-                generate_candidates(
+                out.presize(total);
+                plan.generate(
                     &current,
                     &kept,
-                    &runs,
                     gap,
-                    0,
-                    kept.len(),
+                    0..plan.runs(),
                     &mut out,
-                    &mut serial_repr,
+                    Placement::Slot,
+                    &mut scratches[0].dense,
                     &mut level_jc,
-                    &pruner,
                 );
                 (out, std::mem::take(&mut current))
             }
@@ -929,6 +918,50 @@ mod tests {
         for threads in [2usize, 4, 8] {
             let parallel = mpp_parallel(&seq, g, rho, 6, MppConfig::default(), threads).unwrap();
             assert_same_outcome(&parallel, &serial, &format!("{threads} threads"));
+        }
+    }
+
+    #[test]
+    fn chunks_of_partner_runs_reassemble_the_serial_generation() {
+        // Pooled levels cut the partner runs into several chunks, claimed
+        // by whichever thread is free and gathered by slot. Protein runs
+        // are long (up to 20 partners, 20 left parents); DNA runs hold at
+        // most 4, so a chunk spans many. Either way the outcome and every
+        // per-level counter match serial `mpp` — the join counters too,
+        // since each partner list is decided once per level with the
+        // same number of users on both paths.
+        use crate::mpp::mpp_traced;
+        let protein = uniform(&mut StdRng::seed_from_u64(99), Alphabet::Protein, 3_000);
+        let dna = uniform(&mut StdRng::seed_from_u64(100), Alphabet::Dna, 2_000);
+        for (seq, g, rho, n) in [(&protein, gap(0, 2), 1e-6, 6), (&dna, gap(0, 3), 2e-5, 8)] {
+            let mut serial_m = MetricsObserver::new();
+            let serial = mpp_traced(seq, g, rho, n, MppConfig::default(), &mut serial_m).unwrap();
+            for threads in [2usize, 3, 4] {
+                let label = format!("{} threads, σ = {}", threads, seq.alphabet().size());
+                let mut m = MetricsObserver::new();
+                let pooled =
+                    mpp_parallel_traced(seq, g, rho, n, MppConfig::default(), threads, &mut m)
+                        .unwrap();
+                assert_eq!(pooled.frequent, serial.frequent, "{label}");
+                assert!(
+                    m.pool.iter().any(|p| p.chunks > threads),
+                    "{label}: a level is cut into more chunks than threads"
+                );
+                assert_eq!(m.levels.len(), serial_m.levels.len(), "{label}");
+                for (a, b) in m.levels.iter().zip(&serial_m.levels) {
+                    assert_eq!(
+                        (a.level, a.candidates, a.evaluated, a.frequent, a.kept),
+                        (b.level, b.candidates, b.evaluated, b.frequent, b.kept),
+                        "{label}"
+                    );
+                    assert_eq!(
+                        (a.joins, a.probed, a.dense_builds, a.arena_bytes),
+                        (b.joins, b.probed, b.dense_builds, b.arena_bytes),
+                        "{label}: level {}",
+                        a.level
+                    );
+                }
+            }
         }
     }
 

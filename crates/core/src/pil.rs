@@ -41,10 +41,10 @@
 //!   `O(span)` build.
 //!
 //! The dense build amortizes across the left parents that join against
-//! the suffix — up to σ of them per level, reused only when one pass
-//! walks the whole level — and the engines hold it per suffix for as
-//! long as that reuse can happen. See [`crate::adaptive::ReprCache`]
-//! for the build lifetimes, the recycled build buffers, and the
+//! the partner — up to σ of them per level. The breadth-first drivers
+//! generate partner-major ([`crate::arena::JoinPlan`]): one build per
+//! partner list, probed by every left parent of its run while it is
+//! hot, then recycled. See [`crate::adaptive::choose_dense`] for the
 //! occupancy rule that picks a side per list.
 
 use crate::gap::GapRequirement;
@@ -70,6 +70,8 @@ use std::collections::HashMap;
 ///   call (a lower bound on the allocator's actual reallocations).
 /// - `bytes_moved` — bytes of live buffer content at each observed
 ///   growth event (the payload a reallocation must copy).
+/// - `dense_builds` — [`DensePil`] prefix-sum arrays built for the
+///   fan-out; `joins / dense_builds` bounds the reuse each build got.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JoinCounters {
     /// Join kernel invocations.
@@ -80,6 +82,8 @@ pub struct JoinCounters {
     pub reallocs: u64,
     /// Bytes of live content at each observed growth event.
     pub bytes_moved: u64,
+    /// Dense prefix-sum arrays built.
+    pub dense_builds: u64,
 }
 
 impl JoinCounters {
@@ -89,6 +93,7 @@ impl JoinCounters {
         self.probed = self.probed.saturating_add(other.probed);
         self.reallocs = self.reallocs.saturating_add(other.reallocs);
         self.bytes_moved = self.bytes_moved.saturating_add(other.bytes_moved);
+        self.dense_builds = self.dense_builds.saturating_add(other.dense_builds);
     }
 
     /// Record a growth event on `out` if its capacity changed since

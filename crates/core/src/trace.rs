@@ -34,7 +34,7 @@
 //! | event | fields |
 //! |---|---|
 //! | `seed` | `level`, `patterns`, `pil_entries`, `arena_bytes`, `minflt`, `user_ms`, `sys_ms`, `elapsed_ms` |
-//! | `level` | `level`, `candidates`, `evaluated`, `frequent`, `kept`, `pruned_bound`, `pruned_support`, `arena_bytes`, `joins`, `probed`, `reallocs`, `bytes_moved`, `minflt`, `user_ms`, `sys_ms`, `join_ms`, `elapsed_ms`, `saturated` |
+//! | `level` | `level`, `candidates`, `evaluated`, `frequent`, `kept`, `pruned_bound`, `pruned_support`, `arena_bytes`, `joins`, `probed`, `reallocs`, `bytes_moved`, `dense_builds`, `minflt`, `user_ms`, `sys_ms`, `join_ms`, `elapsed_ms`, `saturated` |
 //! | `pool` | `level`, `chunks`, `workers` (array of `{worker, chunks, candidates, busy_ms, idle_ms}`) |
 //! | `subtree` | `index`, `level`, `patterns`, `deepest`, `evaluated`, `frequent`, `peak_arena_bytes`, `batches`, `batch_candidates`, `elapsed_ms` |
 //! | `em` | `m`, `em`, `elapsed_ms` |
@@ -128,6 +128,11 @@ pub struct LevelEvent {
     pub reallocs: u64,
     /// Bytes copied by those reallocations.
     pub bytes_moved: u64,
+    /// Dense prefix-sum arrays built for those joins: `joins /
+    /// dense_builds` bounds the reuse each build got (one build per
+    /// partner list, probed by up to σ left parents, in the
+    /// breadth-first engines).
+    pub dense_builds: u64,
     /// Minor page faults the process took during this level (0 unless
     /// the observer [wants resources](MineObserver::wants_resources)).
     pub minflt: u64,
@@ -267,11 +272,12 @@ pub struct ShardEvent {
 }
 
 /// Per-list PIL representation choices made during a run (the
-/// [`crate::adaptive::ReprCache`] histogram): how many suffix lists
-/// were materialised as dense prefix-sum arrays, how many stayed
-/// sparse, and how many dense candidates fell back to sparse because
-/// their total count sum would overflow `u64`. Purely informational —
-/// mined patterns and [`crate::MineStats`] do not depend on the split.
+/// [`crate::adaptive::repr_stats`] histogram — one decision per partner
+/// list per level in the breadth-first engines): how many lists were
+/// materialised as dense prefix-sum arrays, how many stayed sparse, and
+/// how many dense candidates fell back to sparse because their total
+/// count sum would overflow `u64`. Purely informational — mined
+/// patterns and [`crate::MineStats`] do not depend on the split.
 #[derive(Clone, Debug)]
 pub struct ReprEvent {
     /// Lists joined through the dense prefix-sum kernel.
@@ -776,7 +782,7 @@ impl<W: io::Write> MineObserver for JsonlObserver<W> {
 
     fn on_level(&mut self, e: &LevelEvent) {
         self.write_line(&format!(
-            "{{\"event\": \"level\", \"level\": {}, \"candidates\": {}, \"evaluated\": {}, \"frequent\": {}, \"kept\": {}, \"pruned_bound\": {}, \"pruned_support\": {}, \"arena_bytes\": {}, \"joins\": {}, \"probed\": {}, \"reallocs\": {}, \"bytes_moved\": {}, \"minflt\": {}, \"user_ms\": {:.3}, \"sys_ms\": {:.3}, \"join_ms\": {:.3}, \"elapsed_ms\": {:.3}, \"saturated\": {}}}",
+            "{{\"event\": \"level\", \"level\": {}, \"candidates\": {}, \"evaluated\": {}, \"frequent\": {}, \"kept\": {}, \"pruned_bound\": {}, \"pruned_support\": {}, \"arena_bytes\": {}, \"joins\": {}, \"probed\": {}, \"reallocs\": {}, \"bytes_moved\": {}, \"dense_builds\": {}, \"minflt\": {}, \"user_ms\": {:.3}, \"sys_ms\": {:.3}, \"join_ms\": {:.3}, \"elapsed_ms\": {:.3}, \"saturated\": {}}}",
             e.level,
             e.candidates,
             e.evaluated,
@@ -789,6 +795,7 @@ impl<W: io::Write> MineObserver for JsonlObserver<W> {
             e.probed,
             e.reallocs,
             e.bytes_moved,
+            e.dense_builds,
             e.minflt,
             ms(e.user),
             ms(e.sys),
@@ -1032,12 +1039,12 @@ impl MetricsObserver {
             );
         }
         out.push_str(
-            "  level | candidates | evaluated | frequent | kept | pruned_bound | pruned_support | joins | probed | reallocs | moved_bytes | minflt | user_ms | sys_ms | join_ms | total_ms\n",
+            "  level | candidates | evaluated | frequent | kept | pruned_bound | pruned_support | joins | probed | reallocs | moved_bytes | dense_builds | minflt | user_ms | sys_ms | join_ms | total_ms\n",
         );
         for l in &self.levels {
             let _ = writeln!(
                 out,
-                "  {:>5} | {:>10} | {:>9} | {:>8} | {:>4} | {:>12} | {:>14} | {:>5} | {:>6} | {:>8} | {:>11} | {:>6} | {:>7.0} | {:>6.0} | {:>7.3} | {:>8.3}{}",
+                "  {:>5} | {:>10} | {:>9} | {:>8} | {:>4} | {:>12} | {:>14} | {:>5} | {:>6} | {:>8} | {:>11} | {:>12} | {:>6} | {:>7.0} | {:>6.0} | {:>7.3} | {:>8.3}{}",
                 l.level,
                 l.candidates,
                 l.evaluated,
@@ -1049,6 +1056,7 @@ impl MetricsObserver {
                 l.probed,
                 l.reallocs,
                 l.bytes_moved,
+                l.dense_builds,
                 l.minflt,
                 ms(l.user),
                 ms(l.sys),
@@ -1531,6 +1539,26 @@ fn check_resources(value: &Json, lineno: usize) -> Result<(), String> {
     Ok(())
 }
 
+/// The optional `dense_builds` field of a level event: a count, and
+/// never above the level's `joins` — every build serves at least one
+/// join. Traces written before the field existed still validate.
+fn check_dense_builds(value: &Json, lineno: usize) -> Result<(), String> {
+    let Some(v) = value.get("dense_builds") else {
+        return Ok(());
+    };
+    let builds = v
+        .as_u128()
+        .ok_or(format!("line {lineno}: dense_builds is not a count"))?;
+    if let Some(joins) = value.get("joins").and_then(Json::as_u128) {
+        if builds > joins {
+            return Err(format!(
+                "line {lineno}: dense_builds {builds} exceeds joins {joins}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Validate a JSONL trace against the schema: every line parses as an
 /// object with an `"event"` field; `level` events are strictly
 /// increasing in level; exactly one `summary` line exists, comes last,
@@ -1586,6 +1614,7 @@ pub fn validate_trace(text: &str) -> Result<TraceReport, String> {
                     .and_then(Json::as_u128)
                     .ok_or(format!("line {lineno}: level event without candidates"))?;
                 check_resources(&value, lineno)?;
+                check_dense_builds(&value, lineno)?;
             }
             "summary" => summary = Some((lineno, value)),
             "abort" => {
@@ -1681,6 +1710,7 @@ mod tests {
             probed: 1200,
             reallocs: 3,
             bytes_moved: 768,
+            dense_builds: 12,
             minflt: 42,
             user: Duration::from_millis(30),
             sys: Duration::from_millis(10),
@@ -1785,7 +1815,7 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("\"joins\": 60, \"probed\": 1200, \"reallocs\": 3, \"bytes_moved\": 768"),
+            text.contains("\"joins\": 60, \"probed\": 1200, \"reallocs\": 3, \"bytes_moved\": 768, \"dense_builds\": 12"),
             "{text}"
         );
         assert!(
@@ -1933,6 +1963,13 @@ mod tests {
         assert!(err.contains("user_ms"), "{err}");
         let seed = format!("{{\"event\": \"seed\", \"minflt\": 1.5}}\n{}", level(""));
         assert!(validate_trace(&seed).unwrap_err().contains("minflt"));
+        // `dense_builds` is a count bounded by the level's joins.
+        validate_trace(&level(", \"joins\": 16, \"dense_builds\": 4")).unwrap();
+        validate_trace(&level(", \"dense_builds\": 4")).unwrap();
+        let err = validate_trace(&level(", \"dense_builds\": -4")).unwrap_err();
+        assert!(err.contains("dense_builds is not a count"), "{err}");
+        let err = validate_trace(&level(", \"joins\": 3, \"dense_builds\": 4")).unwrap_err();
+        assert!(err.contains("exceeds joins"), "{err}");
     }
 
     #[test]
@@ -2046,6 +2083,8 @@ mod tests {
         let text = m.render();
         assert!(text.contains("e_m = 42"), "{text}");
         assert!(text.contains("| user_ms | sys_ms |"), "{text}");
+        assert!(text.contains("| dense_builds | minflt |"), "{text}");
+        assert!(text.contains(" 768 |           12 |     42 |"), "{text}");
         assert!(text.contains("|     42 |      30 |     10 |"), "{text}");
         assert!(text.contains("10 frequent"), "{text}");
         assert!(text.contains("pil repr: 5 dense | 3 sparse"), "{text}");

@@ -611,13 +611,13 @@ fn rho_for_partial_level6(seq: &Sequence, gap: GapRequirement) -> Option<f64> {
 // a shrinking generation. Patterns, supports, saturation and every
 // per-level counter must match serial `mpp` and the seed reference.
 // The gap is flexible and the sequence ends in an A/T-only stretch, so
-// the occupancy rule must route some suffix lists through the dense
+// the occupancy rule must route some partner lists through the dense
 // probe and others through the sparse merge, in both the pooled and the
-// serial mine — otherwise the dense join would go untested at engine
+// serial mine — otherwise either join would go untested at engine
 // level. (On uniform DNA a list fills at most P(first symbol) = 1/4 of
-// its span, under the rule's crossover, so every list would stay
-// sparse; the uniform three quarters keep all 256 level-4 patterns
-// alive, which level 5 needs to reach the pool.)
+// its span, so it reaches the rule's crossover only when all four left
+// parents of its run probe it; the uniform three quarters keep all 256
+// level-4 patterns alive, which level 5 needs to reach the pool.)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
